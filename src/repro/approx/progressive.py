@@ -122,10 +122,8 @@ class StreamingMoments:
     __slots__ = ("confidence", "z", "n", "_mean", "_m2")
 
     def __init__(self, confidence: float = 0.95) -> None:
-        if confidence not in _Z:
-            raise ValueError(f"confidence must be one of {sorted(_Z)}")
+        self.z = z_score(confidence)
         self.confidence = confidence
-        self.z = _Z[confidence]
         self.n = 0
         self._mean = 0.0
         self._m2 = 0.0
@@ -232,8 +230,7 @@ class ProgressiveAggregator:
         seed: int = 0,
         shuffle: bool = True,
     ) -> None:
-        if confidence not in _Z:
-            raise ValueError(f"confidence must be one of {sorted(_Z)}")
+        self._moments = StreamingMoments(confidence)  # validates confidence
         self._values = np.asarray(values, dtype=np.float64).copy()
         if shuffle:
             # shuffling once makes every prefix a uniform random sample
@@ -242,16 +239,9 @@ class ProgressiveAggregator:
             rng.shuffle(order)
             self._values = self._values[order]
         self.confidence = confidence
-        self._moments = StreamingMoments(confidence)
 
     def __len__(self) -> int:
         return len(self._values)
-
-    def _consume(self, chunk: np.ndarray) -> None:
-        self._moments.extend(chunk)
-
-    def _snapshot(self) -> ProgressiveEstimate:
-        return self._moments.estimate(len(self._values))
 
     def run(
         self, chunk_size: int = 1000, emitter: ProgressEmitter | None = None
@@ -267,8 +257,8 @@ class ProgressiveAggregator:
         if emitter is None:
             emitter = OBS.progress
         for start in range(0, len(self._values), chunk_size):
-            self._consume(self._values[start : start + chunk_size])
-            estimate = self._snapshot()
+            self._moments.extend(self._values[start : start + chunk_size])
+            estimate = self._moments.estimate(len(self._values))
             if emitter.has_subscribers:
                 emitter.emit(
                     "approx.progressive",
@@ -304,9 +294,12 @@ class ProgressiveSketchAggregator:
     Each pass builds a fresh sketch over its chunk via ``factory``,
     merges it into the running accumulation, and yields the merged
     estimate — the same combine step the federation coordinator runs, so
-    progressive refinement and shard merging stay one code path. The
-    factory keeps this module import-independent of the sketch package
-    (which imports :func:`z_score` from here).
+    progressive refinement and shard merging stay one code path. It is
+    the one such loop: the serving layer's approximate aggregates
+    (:func:`repro.server.sketch.iter_sketch_passes`) run through it with
+    a whole sketch bundle per pass. The factory keeps this module
+    import-independent of the sketch package (which imports
+    :func:`z_score` from here).
     """
 
     def __init__(self, factory) -> None:

@@ -20,6 +20,8 @@ import base64
 import math
 from hashlib import blake2b
 
+import numpy as np
+
 from ..progressive import z_score
 from .base import SketchEstimate, register_sketch
 
@@ -82,10 +84,12 @@ class HllSketch:
             raise ValueError(
                 f"precision mismatch: {self.precision} vs {other.precision}"
             )
-        mine, theirs = self._registers, other._registers
-        for index in range(self._m):
-            if theirs[index] > mine[index]:
-                mine[index] = theirs[index]
+        # Element-wise max over uint8 views of both register blocks; the
+        # bytearray stays the storage (and the wire format).
+        mine = np.frombuffer(self._registers, dtype=np.uint8)
+        np.maximum(
+            mine, np.frombuffer(other._registers, dtype=np.uint8), out=mine
+        )
         self.items_added += other.items_added
 
     @property

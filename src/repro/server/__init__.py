@@ -16,9 +16,10 @@ Pieces (all stdlib — ``socket`` + ``threading``, no web framework):
 * :mod:`repro.server.shedding` — :class:`LoadShedder`, the tier controller
   watching a sliding window of interactive latencies against the
   ``interactive`` budget (:mod:`repro.obs.budget`), with hysteresis;
-* :mod:`repro.server.approximate` — bounded-work approximate evaluation of
-  eligible aggregate queries (the shed tier's answer path), error bounds
-  via :class:`repro.approx.progressive.StreamingMoments`;
+* :mod:`repro.server.sketch` — the shed tier's one answer path: every
+  eligible aggregate (ungrouped COUNT/SUM/AVG, GROUP BY, COUNT(DISTINCT))
+  is answered with bounded work from mergeable sketches, with error
+  bounds, and merged across federation members;
 * :mod:`repro.server.app` — :class:`ReproServer`: acceptor + worker pool,
   routing, content negotiation, chunked streaming of SELECT results;
 * :mod:`repro.server.remote` — :class:`RemoteEndpointSource`, a
@@ -31,10 +32,10 @@ Run one with ``python -m repro.server`` (see ``--help``).
 
 from .admission import AdmissionSnapshot, FairAdmissionQueue
 from .app import ReproServer, ServerConfig
-from .approximate import ApproximateAnswer, approximate_select, eligible_aggregate
 from .http import HttpError, HttpRequest, read_request
 from .remote import EndpointError, RemoteEndpointSource
 from .shedding import AGGRESSIVE, EXACT, SAMPLED, LoadShedder, TIER_NAMES
+from .sketch import ApproximateAnswer, approximate_select, eligible_aggregate
 
 __all__ = [
     "AGGRESSIVE",

@@ -40,11 +40,13 @@ one federated query over several servers exports as a single stitched
 span tree.
 
 Degradation order under load: first the shed tiers reroute eligible
-aggregate queries through bounded-work approximation
-(:mod:`repro.server.approximate`) with an ``X-Repro-Approximate`` header
-and error-bound metadata; only when the admission queue itself is full
-does the server answer 503 + ``Retry-After``. It never buffers without
-bound and it never silently drops a request.
+aggregate queries (ungrouped, grouped and DISTINCT alike) through the one
+bounded-work sketch path (:mod:`repro.server.sketch`) with an
+``X-Repro-Approximate`` header and error-bound metadata; only when the
+admission queue itself is full does the server answer 503 +
+``Retry-After``. It never buffers without bound and it never silently
+drops a request. In the exact tier an aggregate is answered like every
+other SELECT, result cache included.
 
 Every admitted request runs as an :meth:`repro.obs.Observability.
 interaction`, so the latency-budget accountant and the flight recorder
@@ -84,6 +86,7 @@ from ..sparql.parser import parse_query
 from ..sparql.results import (
     SelectResult,
     ask_to_sparql_json,
+    binding_to_json,
     iter_csv,
     iter_sparql_json,
     iter_tsv,
@@ -94,11 +97,10 @@ from ..sparql.results import (
 )
 from ..store.base import StoreStatistics, TripleSource, compute_statistics
 from .admission import FairAdmissionQueue
-from .approximate import approximate_select, eligible_aggregate
 from .sketch import (
     build_sketch_bundle,
     bundle_to_answer,
-    eligible_sketch,
+    eligible_approximate,
     federated_sketch_bundle,
     iter_sketch_passes,
 )
@@ -664,7 +666,8 @@ class ReproServer:
             # scoping it to one tenant makes that tenant the SLO offender.
             time.sleep(self.config.debug_delay_ms / 1e3)
 
-        if isinstance(parsed, SelectQuery) and eligible_sketch(parsed):
+        tier = EXACT
+        if eligible_approximate(parsed):
             # Wire mode: a federation coordinator asks for the serialized
             # sketch bundle instead of result rows (cheap bounded work, so
             # it is served regardless of the shed tier).
@@ -680,20 +683,17 @@ class ReproServer:
                 OBS.querylog.annotate_serving(tier="progressive")
                 self._answer_sketch_progressive(pending, engine, parsed)
                 return
-        if isinstance(parsed, SelectQuery) and (
-            eligible_aggregate(parsed) or eligible_sketch(parsed)
-        ):
             tier = self.shedder.decide(
                 burn_rate=self.slo.burn_rate(pending.tenant),
                 peak_burn=self.slo.peak_burn_rate(),
             )
-            act.set_attribute("tier", TIER_NAMES[tier])
-            OBS.querylog.annotate_serving(tier=TIER_NAMES[tier])
-            self._answer_aggregate(pending, engine, text, parsed, tier,
-                                   accept)
+            with self._lock:
+                self._aggregate_served += 1
+        act.set_attribute("tier", TIER_NAMES[tier])
+        OBS.querylog.annotate_serving(tier=TIER_NAMES[tier])
+        if tier != EXACT and self._answer_shed(pending, engine, text, parsed,
+                                               tier, accept):
             return
-        act.set_attribute("tier", "exact")
-        OBS.querylog.annotate_serving(tier="exact")
         self._mark_served(EXACT)
         if isinstance(parsed, SelectQuery):
             self._answer_select_exact(pending, engine, text, parsed, accept)
@@ -715,7 +715,7 @@ class ReproServer:
         else:  # pragma: no cover - parser produces only the four forms
             self._respond_error(pending.wfile, 400, "unsupported query form")
 
-    def _answer_aggregate(
+    def _answer_shed(
         self,
         pending: _Pending,
         engine: CachedQueryEngine,
@@ -723,37 +723,52 @@ class ReproServer:
         parsed: SelectQuery,
         tier: int,
         accept: str,
-    ) -> None:
-        """Aggregate queries: the tier decides exact vs bounded-work."""
+    ) -> bool:
+        """Bounded-work answer in a shed tier: sketch locally, or merge
+        per-source bundles when the store is a federation. ``False``
+        leaves the query to the exact path (an ungrouped stream that fit
+        the work budget)."""
         fmt = _negotiate_select(accept)
         if fmt is None:
             self._respond_error(pending.wfile, 406,
                                 f"cannot serve Accept: {accept}")
-            return
-        with self._lock:
-            self._aggregate_served += 1
-        if tier == EXACT:
-            self._mark_served(EXACT)
-            result = engine.query(parsed)
-            self._respond_select(pending, result, fmt,
-                                 {"X-Repro-Tier": "exact"})
-            return
+            return True
+        started = time.perf_counter_ns()
         max_rows = self.config.approx_max_rows
         if tier >= AGGRESSIVE:
             max_rows = max(1, max_rows // 4)
-        if eligible_aggregate(parsed):
-            answer = approximate_select(
+        confidence = self.config.approx_confidence
+        bundle = federated_sketch_bundle(
+            self.store, text, parsed, max_rows=max_rows,
+            confidence=confidence,
+        )
+        if bundle is None:
+            bundle = build_sketch_bundle(
                 engine.engine, parsed, max_rows=max_rows,
-                confidence=self.config.approx_confidence,
+                confidence=confidence,
             )
-        else:
-            answer = self._sketched_answer(engine, text, parsed, max_rows)
+        self._note_sketch_bundle(bundle)
+        if bundle.recovers_exactly:
+            return False
+        answer = bundle_to_answer(bundle)
         if not answer.approximate:
-            # Small stream: the work budget covered it; answer is exact.
+            # Small grouped stream: the work budget covered it.
             self._mark_served(EXACT)
             self._respond_select(pending, answer.result, fmt,
                                  {"X-Repro-Tier": "exact"})
-            return
+            return True
+        # The serving-level record: the engine's own stream record
+        # (complete=false, abandoned prefix) stays; this one is what the
+        # workload analyzer counts as approximate-tier usage.
+        log = OBS.querylog
+        if log.enabled:
+            log.emit(
+                digest=engine.engine.plan_digest(parsed),
+                form="SELECT",
+                strategy="sketched",
+                latency_ms=(time.perf_counter_ns() - started) / 1e6,
+                solutions=len(answer.result),
+            )
         with self._lock:
             self._aggregate_approximate += 1
         self._mark_served(tier)
@@ -769,45 +784,7 @@ class ReproServer:
         }
         self._respond_select(pending, answer.result, fmt, headers,
                              extra=metadata)
-
-    def _sketched_answer(
-        self,
-        engine: CachedQueryEngine,
-        text: str,
-        parsed: SelectQuery,
-        max_rows: int,
-    ):
-        """GROUP BY / DISTINCT under overload: sketch locally, or merge
-        per-source bundles when the store is a federation."""
-        started = time.perf_counter_ns()
-        confidence = self.config.approx_confidence
-        bundle = federated_sketch_bundle(
-            self.store, text, parsed, max_rows=max_rows,
-            confidence=confidence,
-        )
-        method = "sketch-federated"
-        if bundle is None:
-            bundle = build_sketch_bundle(
-                engine.engine, parsed, max_rows=max_rows,
-                confidence=confidence,
-            )
-            method = "sketch"
-        self._note_sketch_bundle(bundle)
-        answer = bundle_to_answer(bundle, method=method)
-        if answer.approximate:
-            # The serving-level record: the engine's own stream record
-            # (complete=false, abandoned prefix) stays; this one is what
-            # the workload analyzer counts as approximate-tier usage.
-            log = OBS.querylog
-            if log.enabled:
-                log.emit(
-                    digest=engine.engine.plan_digest(parsed),
-                    form="SELECT",
-                    strategy="sketched",
-                    latency_ms=(time.perf_counter_ns() - started) / 1e6,
-                    solutions=len(answer.result),
-                )
-        return answer
+        return True
 
     def _note_sketch_bundle(self, bundle) -> None:
         """Per-family sketch activity: counters + memory gauges for
@@ -831,15 +808,7 @@ class ReproServer:
         parsed: SelectQuery,
     ) -> None:
         """Answer with the serialized sketch bundle (federation wire)."""
-        max_rows = self.config.approx_max_rows
-        raw = request.param("max_rows")
-        if raw is not None:
-            try:
-                max_rows = int(raw)
-            except ValueError:
-                # repro: swallow(malformed max_rows keeps the configured
-                # default rather than failing the federated call)
-                pass
+        max_rows = _int_param(request, "max_rows", self.config.approx_max_rows)
         bundle = build_sketch_bundle(
             engine.engine, parsed, max_rows=max(1, max_rows),
             confidence=self.config.approx_confidence,
@@ -872,11 +841,7 @@ class ReproServer:
                 final_bundle = bundle
                 answer = bundle_to_answer(bundle)
                 bindings = [
-                    {
-                        str(var): term_to_json(row[var])
-                        for var in answer.result.variables
-                        if row.get(var) is not None
-                    }
+                    binding_to_json(answer.result.variables, row)
                     for row in answer.result.rows
                 ]
                 yield json.dumps(
@@ -1199,7 +1164,9 @@ def _batched(chunks, batch: int):
 
 
 def _int_param(request: HttpRequest, name: str, default: int) -> int:
-    value = request.query.get(name)
+    """An integer parameter (query string or form body); malformed or
+    missing values keep ``default``."""
+    value = request.param(name)
     if value is None:
         return default
     try:

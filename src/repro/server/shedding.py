@@ -11,7 +11,7 @@ request, which tier the server answers from:
   exceeds the ``interactive`` budget (:data:`repro.obs.budget.
   DEFAULT_BUDGETS_MS`): eligible aggregate queries are answered from a
   bounded-work streaming estimate with a confidence interval
-  (:mod:`repro.server.approximate`);
+  (:mod:`repro.server.sketch`);
 * **AGGRESSIVE** (tier 2) — p95 beyond ``aggressive_factor``× budget: the
   same path with a quarter of the row budget.
 

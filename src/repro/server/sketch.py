@@ -1,44 +1,69 @@
-"""Sketch-backed approximate answers for GROUP BY / DISTINCT aggregates.
+"""The shed tier's approximate answers: one sketch path for every shape.
 
-:mod:`repro.server.approximate` covers *ungrouped* COUNT/SUM/AVG with a
-prefix sample. This module extends the shed tier to the two shapes it
-explicitly bails on, using the mergeable sketches of
-:mod:`repro.approx.sketch` (Hillview's model, PAPERS.md):
+Survey §2: "approximate answers are computed incrementally over
+progressively larger samples" (BlinkDB [2], sampleAction [46]). Instead of
+draining the full operator stream, the shed tier consumes at most
+``max_rows`` pattern solutions into the mergeable sketches of
+:mod:`repro.approx.sketch` (Hillview's model, PAPERS.md) and scales up by
+the planner's cardinality estimate. An ungrouped aggregate is a grouped
+one with zero keys:
 
-* ``GROUP BY`` COUNT/SUM/AVG — operator output streams into one
-  :class:`~repro.approx.sketch.GroupedMomentsSketch` per aggregate under
-  the same bounded row budget; per-group answers scale up by the
-  planner's cardinality estimate with binomial/CLT intervals.
-* ungrouped ``COUNT(DISTINCT ?x)`` — the stream drains fully through an
-  HLL. Unlike counts, a sample's distinct count cannot be honestly
-  extrapolated, so the saving here is *memory and data-structure* work
-  (4 KiB registers and no exact dedup set), not rows; the declared bound
-  is the HLL standard error, which holds regardless of stream length.
+* ungrouped ``COUNT``/``SUM``/``AVG`` (method ``prefix-sample``) — one
+  group per aggregate. ``COUNT(*)`` scales to the planner's estimate and,
+  because that estimate's error is not probabilistic, carries the coarse
+  ``|estimate − seen|`` bound; ``COUNT(?x)`` carries an Agresti–Coull
+  binomial bound; ``SUM``/``AVG`` a CLT bound over the numeric fraction.
+* ``GROUP BY`` ``COUNT``/``SUM``/``AVG`` (method ``sketch``) — one
+  :class:`~repro.approx.sketch.GroupedMomentsSketch` per aggregate under a
+  group budget; per-group answers scale up with binomial/CLT intervals.
+* ungrouped ``COUNT(DISTINCT ?x)`` (method ``sketch``) — the stream drains
+  fully through an HLL. A sample's distinct count cannot be honestly
+  extrapolated, so the saving is *memory and data-structure* work (4 KiB
+  registers, no exact dedup set), not rows; the declared bound is the HLL
+  standard error, which holds regardless of stream length.
 
 ``GROUP BY`` over a ``DISTINCT`` aggregate stays ineligible: per-group
 HLLs under a group budget would make the "other"-bucket semantics of a
 spilled group undefined (you cannot un-merge a distinct set).
 
+Two honesty notes, carried into the response metadata. The consumed
+prefix of the operator stream is treated as an exchangeable sample; store
+iteration order is index order, so skew in that order — sharpest when the
+scan order correlates with a group key — widens real error beyond the
+declared interval (the Agresti–Coull widths at least never report
+certainty from a one-group prefix). And when an ungrouped
+``COUNT``/``SUM``/``AVG`` stream is exhausted under the budget, nothing
+needs approximating: the exact engine answers it (the graceful-recovery
+property — cheap queries stay exact even in shed mode).
+
 The unit of composition is a :class:`SketchBundle` — the per-projection
 sketches plus the sampling frame (rows consumed, estimated total,
-exhausted flag). A bundle serializes to JSON for the federation wire
-(``X-Repro-Sketch: 1`` on ``/sparql``), merges with bundles from other
-sources, and renders into the same :class:`ApproximateAnswer` the rest of
-the serving layer already speaks. Merged counts are upper bounds when
-sources overlap — the same caveat :meth:`FederatedStore.statistics`
-documents — while HLL distinct merges deduplicate correctly by
-construction.
+exhausted flag). A bundle is itself a mergeable sketch: it serializes to
+JSON for the federation wire (``X-Repro-Sketch: 1`` on ``/sparql``),
+merges with bundles from other sources, drives the progressive passes
+through :class:`~repro.approx.progressive.ProgressiveSketchAggregator`,
+and renders into one :class:`ApproximateAnswer`. Merged counts are upper
+bounds when sources overlap — the same caveat
+:meth:`FederatedStore.statistics` documents — while HLL distinct merges
+deduplicate correctly by construction.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, replace
+from itertools import islice
 
-from ..approx.progressive import binomial_halfwidth
-from ..obs import OBS
+from ..approx.progressive import (
+    ProgressiveSketchAggregator,
+    StreamingMoments,
+    binomial_halfwidth,
+)
 from ..approx.sketch import (
+    OTHER_BUCKET,
     GroupedMomentsSketch,
     HllSketch,
+    SketchEstimate,
     default_groups,
     default_precision,
     deserialize_sketch,
@@ -49,76 +74,130 @@ from ..sparql.eval import QueryEngine
 from ..sparql.nodes import AggregateExpr, Query, SelectQuery, VariableExpr
 from ..sparql.parser import parse_query
 from ..sparql.results import SelectResult, term_from_json, term_to_json
-from .approximate import ApproximateAnswer
 
 __all__ = [
+    "ApproximateAnswer",
+    "eligible_approximate",
+    "eligible_aggregate",
     "eligible_sketch",
     "SketchBundle",
     "build_sketch_bundle",
     "merge_bundles",
     "bundle_to_answer",
     "sketched_select",
+    "approximate_select",
     "federated_sketch_bundle",
     "federated_sketch_select",
     "iter_sketch_passes",
 ]
 
 BUNDLE_VERSION = 1
-_GROUPED = ("COUNT", "SUM", "AVG")
+_KINDS = ("COUNT", "SUM", "AVG")
+_NO_KEYS = "[]"  # the one group of an ungrouped aggregate (no key terms)
 
 
-def eligible_sketch(query: Query) -> bool:
-    """Can the sketch path answer this query approximately?
+@dataclass(frozen=True)
+class ApproximateAnswer:
+    """An aggregate answer plus the metadata that makes it honest."""
 
-    Eligible: a grouped SELECT whose GROUP BY keys are plain variables
-    and whose projections are group keys plus non-DISTINCT
-    ``COUNT``/``SUM``/``AVG`` aggregates, or an ungrouped SELECT whose
-    every projection is ``COUNT(DISTINCT ?var)``. Solution modifiers
-    (HAVING, ORDER BY, LIMIT/OFFSET, SELECT DISTINCT) stay exact.
+    result: SelectResult
+    approximate: bool
+    rows_consumed: int
+    estimated_total: int
+    confidence: float
+    bounds: dict[str, float]  # projection variable -> CI halfwidth
+    method: str
+    extra: dict[str, object] | None = None  # shape-specific annotations
+
+    def metadata(self) -> dict[str, object]:
+        """The ``x-repro`` body member / ``X-Repro-*`` header payload."""
+        payload: dict[str, object] = {
+            "approximate": self.approximate,
+            "method": self.method,
+            "rows_consumed": self.rows_consumed,
+            "estimated_total": self.estimated_total,
+            "confidence": self.confidence,
+            "bounds": {
+                name: (round(value, 6) if value != float("inf") else "inf")
+                for name, value in self.bounds.items()
+            },
+        }
+        if self.extra:
+            payload.update(self.extra)
+        return payload
+
+
+# --------------------------------------------------------------------------- #
+# Eligibility
+# --------------------------------------------------------------------------- #
+
+
+def _distinct(query: SelectQuery) -> bool:
+    return any(
+        isinstance(p.expression, AggregateExpr) and p.expression.distinct
+        for p in query.projections
+    )
+
+
+def eligible_approximate(query: Query) -> bool:
+    """Can the shed tier answer this query approximately?
+
+    Eligible: a SELECT whose GROUP BY keys (if any) are plain variables
+    and whose projections are group keys plus ``COUNT``/``SUM``/``AVG``
+    aggregates over a variable (or ``COUNT(*)``), at least one of them; or
+    an ungrouped SELECT whose every projection is ``COUNT(DISTINCT ?var)``.
+    Solution modifiers (HAVING, ORDER BY, LIMIT/OFFSET, SELECT DISTINCT)
+    and every other shape are answered exactly regardless of tier.
     """
-    if not isinstance(query, SelectQuery):
+    if not isinstance(query, SelectQuery) or not query.projections:
         return False
     if query.having is not None or query.order_by:
         return False
     if query.distinct or query.limit is not None or query.offset:
         return False
-    if not query.projections:
+    if not all(isinstance(e, VariableExpr) for e in query.group_by):
         return False
-    if query.group_by:
-        if not all(isinstance(e, VariableExpr) for e in query.group_by):
-            return False
-        group_vars = {e.variable for e in query.group_by}
-        saw_aggregate = False
-        for projection in query.projections:
-            expression = projection.expression
-            if expression is None:
-                if projection.variable not in group_vars:
-                    return False
-                continue
-            if isinstance(expression, VariableExpr):
-                if expression.variable not in group_vars:
-                    return False
-                continue
-            if not isinstance(expression, AggregateExpr):
-                return False
-            if expression.distinct or expression.name not in _GROUPED:
-                return False
-            if expression.argument is None:
-                if expression.name != "COUNT":
-                    return False
-            elif not isinstance(expression.argument, VariableExpr):
-                return False
-            saw_aggregate = True
-        return saw_aggregate
+    group_vars = {e.variable for e in query.group_by}
+    aggregates = []
     for projection in query.projections:
         expression = projection.expression
+        if expression is None or isinstance(expression, VariableExpr):
+            key = projection.variable
+            if expression is not None:
+                key = expression.variable
+            if key not in group_vars:
+                return False
+            continue
         if not isinstance(expression, AggregateExpr):
             return False
-        if expression.name != "COUNT" or not expression.distinct:
+        if expression.name not in _KINDS:
             return False
-        if not isinstance(expression.argument, VariableExpr):
+        if expression.argument is None:
+            if expression.name != "COUNT":
+                return False
+        elif not isinstance(expression.argument, VariableExpr):
             return False
-    return True
+        aggregates.append(expression)
+    if not any(e.distinct for e in aggregates):
+        return bool(aggregates)
+    return not group_vars and all(
+        e.distinct and e.name == "COUNT" and e.argument is not None
+        for e in aggregates
+    )
+
+
+def eligible_aggregate(query: Query) -> bool:
+    """The ungrouped COUNT/SUM/AVG shapes (answered by prefix sample)."""
+    return eligible_approximate(query) and not (
+        query.group_by or _distinct(query)
+    )
+
+
+def eligible_sketch(query: Query) -> bool:
+    """The GROUP BY and COUNT(DISTINCT) shapes (answered by sketch)."""
+    return eligible_approximate(query) and bool(
+        query.group_by or _distinct(query)
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -206,7 +285,13 @@ class _Spec:
 
 
 class SketchBundle:
-    """The mergeable unit one source contributes to a sketched answer."""
+    """The mergeable unit one source contributes to an approximate answer.
+
+    It speaks the sketch protocol itself — :meth:`add` one pattern
+    solution, :meth:`merge` another bundle, :meth:`estimate` the rows
+    behind it — so progressive passes and federation merges are the same
+    combine step.
+    """
 
     def __init__(
         self,
@@ -223,10 +308,87 @@ class SketchBundle:
         self.estimated_total = estimated_total
         self.exhausted = exhausted
         self.confidence = confidence
+        self.federated = False  # set by merge_bundles (the coordinator)
+
+    @classmethod
+    def empty(cls, parsed: SelectQuery, confidence: float) -> "SketchBundle":
+        """A bundle with fresh sketches for an eligible query's shape."""
+        specs: list[_Spec] = []
+        for projection in parsed.projections:
+            expression = projection.expression
+            if expression is None or isinstance(expression, VariableExpr):
+                underlying = (
+                    projection.variable if expression is None
+                    else expression.variable
+                )
+                specs.append(
+                    _Spec(projection.variable, "group", arg=underlying)
+                )
+                continue
+            arg = (
+                expression.argument.variable
+                if isinstance(expression.argument, VariableExpr) else None
+            )
+            if expression.distinct:
+                sketch = HllSketch(
+                    precision=default_precision(), confidence=confidence
+                )
+            else:
+                sketch = GroupedMomentsSketch(
+                    max_groups=default_groups(), confidence=confidence
+                )
+            specs.append(_Spec(
+                projection.variable, "agg", kind=expression.name, arg=arg,
+                distinct=expression.distinct, sketch=sketch,
+            ))
+        group_vars = tuple(expr.variable for expr in parsed.group_by)
+        return cls(group_vars, specs, 0, 0, False, confidence)
 
     @property
     def agg_specs(self) -> list[_Spec]:
         return [spec for spec in self.specs if spec.role == "agg"]
+
+    @property
+    def distinct(self) -> bool:
+        return any(spec.distinct for spec in self.specs)
+
+    @property
+    def method(self) -> str:
+        """How an approximate answer from this bundle was made."""
+        if not self.group_vars and not self.distinct:
+            return "prefix-sample"
+        return "sketch-federated" if self.federated else "sketch"
+
+    @property
+    def recovers_exactly(self) -> bool:
+        """An exhausted ungrouped COUNT/SUM/AVG saw every row: the exact
+        engine answers it instead (graceful recovery)."""
+        return self.exhausted and not self.group_vars and not self.distinct
+
+    def add(self, row: dict) -> None:
+        """Feed one pattern solution into every aggregate's sketch."""
+        self.rows_consumed += 1
+        key = _NO_KEYS
+        if self.group_vars:
+            key = _group_key(row, self.group_vars)
+        for spec in self.specs:
+            if spec.role != "agg":
+                continue
+            if spec.distinct:
+                term = row.get(spec.arg)
+                if term is not None:
+                    spec.sketch.add(_term_key(term))
+            elif spec.kind == "COUNT":
+                if spec.arg is None or row.get(spec.arg) is not None:
+                    spec.sketch.add_group(key, 1.0)
+            else:  # SUM / AVG: numeric literals only, like the exact engine
+                term = row.get(spec.arg)
+                if isinstance(term, Literal):
+                    value = term.value
+                    if isinstance(value, (int, float)) and not isinstance(
+                        value, bool
+                    ):
+                        spec.sketch.add_group(key, float(value))
 
     def merge(self, other: "SketchBundle") -> None:
         """Absorb another source's bundle (the coordinator's combine step).
@@ -236,9 +398,7 @@ class SketchBundle:
         documented upper-bound semantics federation statistics already
         have — while HLL distinct merges stay duplicate-proof.
         """
-        if [str(v) for v in other.group_vars] != [
-            str(v) for v in self.group_vars
-        ]:
+        if other.group_vars != self.group_vars:
             raise ValueError("bundles group by different keys")
         mine, theirs = self.agg_specs, other.agg_specs
         if len(mine) != len(theirs) or any(
@@ -253,8 +413,16 @@ class SketchBundle:
         self.estimated_total += other.estimated_total
         self.exhausted = self.exhausted and other.exhausted
 
-    def sketch_bytes(self) -> int:
-        return sum(spec.sketch.size_bytes() for spec in self.agg_specs)
+    def estimate(self) -> SketchEstimate:
+        """Rows behind the bundle — exact over what it saw (the per-cell
+        scale-up and bounds are :func:`bundle_to_answer`'s job)."""
+        return SketchEstimate(
+            value=float(self.rows_consumed),
+            error_bound=0.0,
+            bound_kind="absolute",
+            confidence=self.confidence,
+            n=self.rows_consumed,
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -285,62 +453,69 @@ class SketchBundle:
 
 
 # --------------------------------------------------------------------------- #
-# Building a bundle from one engine's operator stream
+# Building bundles from one engine's operator stream
 # --------------------------------------------------------------------------- #
 
 
-def _make_specs(
-    parsed: SelectQuery, confidence: float
-) -> tuple[tuple[Variable, ...], list[_Spec]]:
-    group_vars = tuple(expr.variable for expr in parsed.group_by)
-    specs: list[_Spec] = []
-    for projection in parsed.projections:
-        expression = projection.expression
-        if expression is None or isinstance(expression, VariableExpr):
-            underlying = (
-                projection.variable if expression is None
-                else expression.variable
+def iter_sketch_passes(
+    engine: QueryEngine,
+    query: str | SelectQuery,
+    max_rows: int = 2_000,
+    confidence: float = 0.95,
+    passes: int = 4,
+):
+    """Yield a tightening :class:`SketchBundle` after each chunk of work.
+
+    Stream the *pattern* solutions (SELECT * over the same WHERE) so the
+    sketches see raw bindings, not the aggregate operator's output. Each
+    pass feeds a *fresh* bundle and merges it into the accumulated one
+    (:class:`~repro.approx.progressive.ProgressiveSketchAggregator` — the
+    same merge the federation coordinator runs, so the progressive path
+    continuously exercises mergeability). Bounds tighten as
+    ``rows_consumed`` grows; at most ``max_rows`` rows are consumed,
+    except that a DISTINCT projection lifts the cap — a distinct count
+    only carries an honest bound over the *whole* stream, so the bounded
+    resource is then the sketch memory and the passes chart coverage.
+    Every pass also lands on the progress-event stream
+    (``approx.progressive.sketch``).
+    """
+    parsed = parse_query(query) if isinstance(query, str) else query
+    if not eligible_approximate(parsed):
+        raise ValueError("query is not an eligible aggregate")
+    if max_rows < 1 or passes < 1:
+        raise ValueError("max_rows and passes must be positive")
+    budget = None if _distinct(parsed) else max_rows
+    chunk = max(1, max_rows // passes)
+    stream = engine.stream_select(SelectQuery(
+        projections=(), where=parsed.where, prefixes=parsed.prefixes
+    ))
+    aggregator = ProgressiveSketchAggregator(
+        lambda: SketchBundle.empty(parsed, confidence)
+    )
+    merged = aggregator.merged
+    exhausted = False
+
+    def chunks():
+        nonlocal exhausted
+        while not exhausted and (
+            budget is None or merged.rows_consumed < budget
+        ):
+            want = chunk if budget is None else min(
+                chunk, budget - merged.rows_consumed
             )
-            specs.append(_Spec(projection.variable, "group", arg=underlying))
-            continue
-        arg = (
-            expression.argument.variable
-            if isinstance(expression.argument, VariableExpr) else None
+            part = list(islice(stream.rows, want))
+            exhausted = len(part) < want
+            yield part
+
+    for _ in aggregator.run(chunks()):
+        seen = merged.rows_consumed
+        total = seen
+        if not exhausted and stream.estimated_rows is not None:
+            total = max(seen, int(round(stream.estimated_rows)))
+        yield SketchBundle(
+            merged.group_vars, merged.specs, seen, total, exhausted,
+            confidence,
         )
-        if expression.distinct:
-            sketch = HllSketch(
-                precision=default_precision(), confidence=confidence
-            )
-        else:
-            sketch = GroupedMomentsSketch(
-                max_groups=default_groups(), confidence=confidence
-            )
-        specs.append(_Spec(
-            projection.variable, "agg", kind=expression.name, arg=arg,
-            distinct=expression.distinct, sketch=sketch,
-        ))
-    return group_vars, specs
-
-
-def _feed(row: dict, key: str | None, specs: list[_Spec]) -> None:
-    for spec in specs:
-        if spec.role != "agg":
-            continue
-        if spec.distinct:
-            term = row.get(spec.arg)
-            if term is not None:
-                spec.sketch.add(_term_key(term))
-        elif spec.kind == "COUNT":
-            if spec.arg is None or row.get(spec.arg) is not None:
-                spec.sketch.add_group(key, 1.0)
-        else:  # SUM / AVG: numeric literals only, like the exact engine
-            term = row.get(spec.arg)
-            if isinstance(term, Literal):
-                value = term.value
-                if isinstance(value, (int, float)) and not isinstance(
-                    value, bool
-                ):
-                    spec.sketch.add_group(key, float(value))
 
 
 def build_sketch_bundle(
@@ -349,66 +524,12 @@ def build_sketch_bundle(
     max_rows: int = 2_000,
     confidence: float = 0.95,
 ) -> SketchBundle:
-    """Stream one engine's pattern solutions into a fresh bundle.
-
-    Grouped aggregates stop at ``max_rows`` (the bounded-work budget);
-    a DISTINCT projection anywhere lifts the row cap, because a distinct
-    count only carries an honest bound over the *whole* stream — the
-    bounded resource is then the sketch memory, not the row count.
-
-    The grouped scale-up inherits the prefix-exchangeability assumption
-    of :mod:`repro.server.approximate`: store iteration order stands in
-    for a uniform sample. When the scan order *correlates with the group
-    key* (an object-grouped index behind ``GROUP BY`` on that object)
-    the prefix over-represents early groups and real error exceeds the
-    declared interval — the same caveat, sharper consequences. The
-    Agresti–Coull-adjusted halfwidths at least never report certainty
-    from a one-group prefix.
-    """
-    parsed = parse_query(query) if isinstance(query, str) else query
-    if not eligible_sketch(parsed):
-        raise ValueError("query is not sketch-eligible")
-    if max_rows < 1:
-        raise ValueError("max_rows must be positive")
-    group_vars, specs = _make_specs(parsed, confidence)
-    distinct_mode = any(spec.distinct for spec in specs)
-
-    pattern_query = SelectQuery(
-        projections=(), where=parsed.where, prefixes=parsed.prefixes
+    """One engine's bundle: the single-pass case of
+    :func:`iter_sketch_passes`."""
+    *_, bundle = iter_sketch_passes(
+        engine, query, max_rows, confidence, passes=1
     )
-    stream = engine.stream_select(pattern_query)
-    rows_seen = 0
-    exhausted = False
-    iterator = iter(stream.rows)
-    while True:
-        if not distinct_mode and rows_seen >= max_rows:
-            break
-        try:
-            row = next(iterator)
-        except StopIteration:
-            exhausted = True
-            break
-        rows_seen += 1
-        key = _group_key(row, group_vars) if group_vars else None
-        _feed(row, key, specs)
-
-    if exhausted:
-        estimated_total = rows_seen
-    else:
-        planner_estimate = stream.estimated_rows
-        estimated_total = max(
-            rows_seen,
-            int(round(planner_estimate))
-            if planner_estimate is not None else 0,
-        )
-    return SketchBundle(
-        group_vars=group_vars,
-        specs=specs,
-        rows_consumed=rows_seen,
-        estimated_total=estimated_total,
-        exhausted=exhausted,
-        confidence=confidence,
-    )
+    return bundle
 
 
 def merge_bundles(bundles: list[SketchBundle]) -> SketchBundle:
@@ -417,6 +538,7 @@ def merge_bundles(bundles: list[SketchBundle]) -> SketchBundle:
     merged = bundles[0]
     for bundle in bundles[1:]:
         merged.merge(bundle)
+    merged.federated = True
     return merged
 
 
@@ -425,103 +547,90 @@ def merge_bundles(bundles: list[SketchBundle]) -> SketchBundle:
 # --------------------------------------------------------------------------- #
 
 
-def _grouped_rows(
-    bundle: SketchBundle,
-) -> tuple[list[dict], dict[str, float], bool]:
-    """Per-group result rows + per-alias worst-case halfwidths.
+def _cell(
+    spec: _Spec, moments: StreamingMoments | None, bundle: SketchBundle
+) -> tuple[Literal | None, float]:
+    """One aggregate's (value, halfwidth) for one group; ``None`` leaves
+    the column unbound (a group this aggregate's sketch never saw)."""
+    seen, total = bundle.rows_consumed, bundle.estimated_total
+    if spec.distinct:
+        estimate = spec.sketch.estimate()
+        return (
+            Literal(int(round(estimate.value))),
+            round(estimate.absolute_bound(), 6),
+        )
+    if not bundle.group_vars:
+        # The one group is the whole population: always answered.
+        if spec.kind == "COUNT" and spec.arg is None:
+            return Literal(int(total)), float(abs(total - seen))
+        moments = moments or StreamingMoments(bundle.confidence)
+    elif moments is None or moments.n == 0:
+        return (Literal(0) if spec.kind == "COUNT" else None), 0.0
+    scaled = moments.n * (total / seen) if seen else 0.0
+    if spec.kind == "COUNT":
+        halfwidth = binomial_halfwidth(
+            moments.n, seen, total, bundle.confidence
+        )
+        return Literal(int(round(scaled))), halfwidth
+    snapshot = moments.estimate(max(moments.n, int(round(scaled))))
+    if spec.kind == "AVG":
+        return Literal(float(snapshot.mean)), snapshot.ci_halfwidth
+    return Literal(float(snapshot.sum_estimate)), snapshot.sum_ci_halfwidth
 
-    Rows are ordered by descending estimated size of the group (the
-    shape a top-groups visualization wants); a group tracked by one
-    aggregate's sketch but spilled from another simply leaves that
-    column unbound, mirroring SPARQL's unbound semantics.
+
+def bundle_to_answer(bundle: SketchBundle) -> ApproximateAnswer:
+    """Render a (possibly merged) bundle as an :class:`ApproximateAnswer`.
+
+    Grouped rows are ordered by descending estimated group size (the shape
+    a top-groups visualization wants); each column's bound is its widest
+    per-group halfwidth.
     """
-    rows_seen = bundle.rows_consumed
-    total = bundle.estimated_total
-    scale = (total / rows_seen) if rows_seen else 0.0
     agg_specs = bundle.agg_specs
-    keys: dict[str, int] = {}
-    for spec in agg_specs:
-        for key, n, _total, _mean, _var in spec.sketch.group_stats():
-            if key.startswith("__"):
-                continue  # the OTHER_BUCKET pseudo-group
-            keys[key] = max(keys.get(key, 0), n)
-    ordered = sorted(keys, key=lambda key: (-keys[key], key))
-    spilled = any(spec.sketch.spilled for spec in agg_specs)
+    keys = [_NO_KEYS]
+    if bundle.group_vars:
+        sizes: dict[str, int] = {}
+        for spec in agg_specs:
+            for key, n, _total, _mean, _var in spec.sketch.group_stats():
+                if key != OTHER_BUCKET:
+                    sizes[key] = max(sizes.get(key, 0), n)
+        keys = sorted(sizes, key=lambda key: (-sizes[key], key))
     bounds: dict[str, float] = {str(s.alias): 0.0 for s in bundle.specs}
     rows: list[dict] = []
-    for key in ordered:
+    for key in keys:
         row: dict = dict(_decode_group_key(key, bundle.group_vars))
         for spec in agg_specs:
-            moments = spec.sketch.group(key)
-            if moments is None or moments.n == 0:
-                if spec.kind == "COUNT":
-                    row[spec.alias] = Literal(0)
+            moments = None if spec.distinct else spec.sketch.group(key)
+            value, halfwidth = _cell(spec, moments, bundle)
+            if value is None:
                 continue
-            if spec.kind == "COUNT":
-                estimate = moments.n * scale
-                halfwidth = binomial_halfwidth(
-                    moments.n, rows_seen, total, bundle.confidence
-                )
-                row[spec.alias] = Literal(int(round(estimate)))
-            else:
-                scaled_n = max(moments.n, int(round(moments.n * scale)))
-                snapshot = moments.estimate(scaled_n)
-                if spec.kind == "AVG":
-                    estimate = snapshot.mean
-                    halfwidth = snapshot.ci_halfwidth
-                else:
-                    estimate = snapshot.sum_estimate
-                    halfwidth = snapshot.sum_ci_halfwidth
-                row[spec.alias] = Literal(float(estimate))
+            row[spec.alias] = value
             alias = str(spec.alias)
-            if halfwidth > bounds[alias]:
+            if not halfwidth <= bounds[alias]:  # max that keeps a NaN
                 bounds[alias] = halfwidth
         rows.append(row)
-    return rows, bounds, spilled
-
-
-def bundle_to_answer(
-    bundle: SketchBundle, method: str = "sketch"
-) -> ApproximateAnswer:
-    """Render a (possibly merged) bundle as an :class:`ApproximateAnswer`."""
-    variables = [spec.alias for spec in bundle.specs]
-    if bundle.group_vars:
-        rows, bounds, spilled = _grouped_rows(bundle)
-        approximate = (not bundle.exhausted) or spilled
-        extra: dict[str, object] = {"groups": len(rows)}
+    moment_specs = [spec for spec in agg_specs if not spec.distinct]
+    spilled = any(spec.sketch.spilled for spec in moment_specs)
+    approximate = bundle.distinct or not bundle.exhausted or spilled
+    extra: dict[str, object] | None = None
+    if bundle.distinct:
+        extra = {"sketch": "hll"}
+    elif bundle.group_vars:
+        extra = {"groups": len(rows)}
         if spilled:
-            other = max(
-                spec.sketch.other_group_estimate()
-                for spec in bundle.agg_specs
-            )
-            extra["other_groups"] = int(round(other))
-        if not approximate:
-            bounds = {name: 0.0 for name in bounds}
-        return ApproximateAnswer(
-            result=SelectResult(variables, rows),
-            approximate=approximate,
-            rows_consumed=bundle.rows_consumed,
-            estimated_total=bundle.estimated_total,
-            confidence=bundle.confidence,
-            bounds=bounds,
-            method=method if approximate else "exact",
-            extra=extra,
-        )
-    row: dict = {}
-    bounds = {}
-    for spec in bundle.agg_specs:
-        estimate = spec.sketch.estimate()
-        row[spec.alias] = Literal(int(round(estimate.value)))
-        bounds[str(spec.alias)] = round(estimate.absolute_bound(), 6)
+            extra["other_groups"] = int(round(max(
+                spec.sketch.other_group_estimate() for spec in moment_specs
+            )))
+    if not approximate:
+        bounds = {name: 0.0 for name in bounds}
     return ApproximateAnswer(
-        result=SelectResult(variables, [row]),
-        approximate=True,
+        result=SelectResult([spec.alias for spec in bundle.specs], rows),
+        approximate=approximate,
         rows_consumed=bundle.rows_consumed,
         estimated_total=bundle.estimated_total,
         confidence=bundle.confidence,
         bounds=bounds,
-        method=method,
-        extra={"sketch": "hll"},
+        method=bundle.method if approximate else "exact",
+        extra=extra,
     )
 
 
@@ -536,9 +645,17 @@ def sketched_select(
     max_rows: int = 2_000,
     confidence: float = 0.95,
 ) -> ApproximateAnswer:
-    """One-engine sketched answer (the non-federated serving path)."""
-    bundle = build_sketch_bundle(engine, query, max_rows, confidence)
-    return bundle_to_answer(bundle, method="sketch")
+    """Answer an eligible aggregate SELECT with at most ``max_rows`` of
+    work on one engine; raises :class:`ValueError` for other queries."""
+    parsed = parse_query(query) if isinstance(query, str) else query
+    bundle = build_sketch_bundle(engine, parsed, max_rows, confidence)
+    answer = bundle_to_answer(bundle)
+    if bundle.recovers_exactly:
+        answer = replace(answer, result=engine.query(parsed))
+    return answer
+
+
+approximate_select = sketched_select
 
 
 def federated_sketch_bundle(
@@ -548,7 +665,7 @@ def federated_sketch_bundle(
     max_rows: int = 2_000,
     confidence: float = 0.95,
 ) -> SketchBundle | None:
-    """Fan a sketch-eligible aggregate out across federation members.
+    """Fan an eligible aggregate out across federation members.
 
     Members exposing ``sketch_select`` (remote endpoints) answer with a
     serialized bundle over the wire; plain local sources are sketched
@@ -585,92 +702,4 @@ def federated_sketch_select(
     )
     if merged is None:
         return None
-    return bundle_to_answer(merged, method="sketch-federated")
-
-
-# --------------------------------------------------------------------------- #
-# Progressive refinement: per-pass sketches merged into a running answer
-# --------------------------------------------------------------------------- #
-
-
-def iter_sketch_passes(
-    engine: QueryEngine,
-    query: str | SelectQuery,
-    max_rows: int = 2_000,
-    confidence: float = 0.95,
-    passes: int = 4,
-):
-    """Yield a tightening :class:`SketchBundle` after each chunk of work.
-
-    Each pass builds *fresh* per-chunk sketches and merges them into the
-    accumulated ones — the same merge the federation coordinator runs, so
-    the progressive path continuously exercises mergeability rather than
-    special-casing incremental update. Grouped bounds tighten as
-    ``rows_consumed`` grows (binomial/CLT halfwidths shrink with the
-    sample); a DISTINCT projection lifts the row budget and the passes
-    chart coverage of the whole stream instead.
-
-    Every pass also lands on the progress-event stream
-    (``approx.sketch.pass``) so a UI can watch without consuming the
-    iterator.
-    """
-    parsed = parse_query(query) if isinstance(query, str) else query
-    if not eligible_sketch(parsed):
-        raise ValueError("query is not sketch-eligible")
-    if max_rows < 1 or passes < 1:
-        raise ValueError("max_rows and passes must be positive")
-    group_vars, accumulated = _make_specs(parsed, confidence)
-    distinct_mode = any(spec.distinct for spec in accumulated)
-    budget = None if distinct_mode else max_rows
-    chunk = max(1, max_rows // passes)
-
-    pattern_query = SelectQuery(
-        projections=(), where=parsed.where, prefixes=parsed.prefixes
-    )
-    stream = engine.stream_select(pattern_query)
-    iterator = iter(stream.rows)
-    rows_seen = 0
-    exhausted = False
-    emitter = OBS.progress
-    while not exhausted and (budget is None or rows_seen < budget):
-        _, fresh = _make_specs(parsed, confidence)
-        consumed = 0
-        while consumed < chunk and (budget is None or rows_seen < budget):
-            try:
-                row = next(iterator)
-            except StopIteration:
-                exhausted = True
-                break
-            rows_seen += 1
-            consumed += 1
-            key = _group_key(row, group_vars) if group_vars else None
-            _feed(row, key, fresh)
-        if consumed == 0 and not exhausted:
-            break  # budget landed exactly on a chunk boundary
-        for acc, new in zip(accumulated, fresh):
-            if acc.role == "agg":
-                acc.sketch.merge(new.sketch)
-        if exhausted:
-            estimated_total = rows_seen
-        else:
-            planner_estimate = stream.estimated_rows
-            estimated_total = max(
-                rows_seen,
-                int(round(planner_estimate))
-                if planner_estimate is not None else 0,
-            )
-        if emitter.has_subscribers:
-            emitter.emit(
-                "approx.sketch.pass",
-                completed=rows_seen,
-                total=estimated_total,
-                exhausted=exhausted,
-            )
-        yield SketchBundle(
-            group_vars=group_vars,
-            specs=accumulated,
-            rows_consumed=rows_seen,
-            estimated_total=estimated_total,
-            exhausted=exhausted,
-            confidence=confidence,
-        )
+    return bundle_to_answer(merged)

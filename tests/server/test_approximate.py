@@ -3,7 +3,7 @@
 import pytest
 
 from repro.rdf.terms import IRI, Literal, Triple
-from repro.server.approximate import (
+from repro.server.sketch import (
     approximate_select,
     eligible_aggregate,
 )
