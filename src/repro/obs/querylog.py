@@ -112,7 +112,7 @@ class QueryRecord:
     sequence: int
     ts: float  # wall-clock (time.time) — the `since` filter key
     digest: str | None
-    form: str  # SELECT | ASK | CONSTRUCT | DESCRIBE | GRAPH
+    form: str  # SELECT | ASK | CONSTRUCT | DESCRIBE
     strategy: str  # iterator | vectorized:<strategies> | cached | none
     latency_ms: float
     tenant: str | None = None

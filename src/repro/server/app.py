@@ -45,8 +45,9 @@ bounded-work sketch path (:mod:`repro.server.sketch`) with an
 ``X-Repro-Approximate`` header and error-bound metadata; only when the
 admission queue itself is full does the server answer 503 +
 ``Retry-After``. It never buffers without bound and it never silently
-drops a request. In the exact tier an aggregate is answered like every
-other SELECT, result cache included.
+drops a request. In the exact tier every form, aggregates included, is
+answered through the worker's :class:`CachedQueryEngine`, the one owner
+of the result cache; a request is parsed and planned once either way.
 
 Every admitted request runs as an :meth:`repro.obs.Observability.
 interaction`, so the latency-budget accountant and the flight recorder
@@ -72,17 +73,15 @@ from ..obs import (
 )
 from ..obs.export import render_prometheus, spans_to_jsonl
 from ..obs.metrics import BoundedLabelSet
+from ..rdf.graph import Graph
 from ..rdf.ntriples import serialize_ntriples
 from ..rdf.terms import IRI
 from ..sparql.cached import CachedQueryEngine
+from ..sparql.eval import StreamingSelect
 from ..sparql.lexer import SparqlSyntaxError
-from ..sparql.nodes import (
-    AskQuery,
-    ConstructQuery,
-    DescribeQuery,
-    SelectQuery,
-)
+from ..sparql.nodes import DescribeQuery, SelectQuery
 from ..sparql.parser import parse_query
+from ..sparql.plan import QueryPlan
 from ..sparql.results import (
     SelectResult,
     ask_to_sparql_json,
@@ -120,6 +119,12 @@ CSV_TYPE = "text/csv"
 TSV_TYPE = "text/tab-separated-values"
 NTRIPLES_TYPE = "application/n-triples"
 TABLE_TYPE = "text/plain"
+# Chunked SELECT serializers by negotiated format (tables materialize).
+_STREAMED = {
+    "json": (JSON_TYPE, iter_sparql_json),
+    "csv": (CSV_TYPE, iter_csv),
+    "tsv": (TSV_TYPE, iter_tsv),
+}
 
 
 @dataclass
@@ -579,6 +584,9 @@ class ReproServer:
                     # the handler failure was counted above)
                     pass
             finally:
+                # The wfile holds the socket's descriptor too: left open,
+                # the client sees EOF only when the next take() returns.
+                _close_quietly(pending.wfile)
                 _close_quietly(pending.connection)
 
     _ROUTE_CLASSES = {
@@ -656,6 +664,9 @@ class ReproServer:
         except (SparqlSyntaxError, ValueError) as error:
             self._respond_error(pending.wfile, 400, f"parse error: {error}")
             return
+        # Planned once: the shed tier's digest and sketch stream and the
+        # exact tier's cache key and operators all come from this plan.
+        plan = engine.engine.plan(parsed)
 
         accept = request.header("accept", JSON_TYPE)
         if self.config.debug_delay_ms > 0 and (
@@ -674,14 +685,14 @@ class ReproServer:
             if request.header("x-repro-sketch"):
                 act.set_attribute("tier", "sketch-wire")
                 OBS.querylog.annotate_serving(tier="sketch-wire")
-                self._answer_sketch_wire(pending, engine, request, parsed)
+                self._answer_sketch_wire(pending, engine, request, plan)
                 return
             # Progressive mode: chunked NDJSON of tightening estimates,
             # one line per merged sketch pass (explicit client opt-in).
             if request.header("x-repro-progressive"):
                 act.set_attribute("tier", "progressive")
                 OBS.querylog.annotate_serving(tier="progressive")
-                self._answer_sketch_progressive(pending, engine, parsed)
+                self._answer_sketch_progressive(pending, engine, plan)
                 return
             tier = self.shedder.decide(
                 burn_rate=self.slo.burn_rate(pending.tenant),
@@ -691,60 +702,58 @@ class ReproServer:
                 self._aggregate_served += 1
         act.set_attribute("tier", TIER_NAMES[tier])
         OBS.querylog.annotate_serving(tier=TIER_NAMES[tier])
-        if tier != EXACT and self._answer_shed(pending, engine, text, parsed,
-                                               tier, accept):
+        # Only SELECT negotiates; ASK and graph answers have one format.
+        fmt = _negotiate_select(accept)
+        if fmt is None and isinstance(parsed, SelectQuery):
+            self._respond_error(pending.wfile, 406,
+                                f"cannot serve Accept: {accept}")
+            return
+        if tier != EXACT and self._answer_shed(pending, engine, text, plan,
+                                               tier, fmt):
             return
         self._mark_served(EXACT)
-        if isinstance(parsed, SelectQuery):
-            self._answer_select_exact(pending, engine, text, parsed, accept)
-        elif isinstance(parsed, AskQuery):
-            self._count_status(200)
-            write_response(
-                pending.wfile, 200,
-                {"Content-Type": JSON_TYPE, "X-Repro-Tier": "exact"},
-                ask_to_sparql_json(engine.query(parsed)).encode("utf-8"),
-            )
-        elif isinstance(parsed, (ConstructQuery, DescribeQuery)):
-            graph = engine.query(parsed)
-            self._count_status(200)
-            write_response(
-                pending.wfile, 200,
-                {"Content-Type": NTRIPLES_TYPE, "X-Repro-Tier": "exact"},
-                serialize_ntriples(graph.triples(), sort=True).encode("utf-8"),
-            )
-        else:  # pragma: no cover - parser produces only the four forms
-            self._respond_error(pending.wfile, 400, "unsupported query form")
+        # SELECT * needs all rows before its header is known, and the
+        # ASCII table pads columns globally: materialize these. Every
+        # other SELECT streams chunked straight off the operator tree.
+        stream = isinstance(parsed, SelectQuery) and not (
+            parsed.select_all or fmt == "table"
+        )
+        result, hit = engine.answer(plan, stream=stream)
+        headers = _served(hit, {"X-Repro-Tier": "exact"})
+        if not isinstance(result, StreamingSelect):
+            self._respond(pending, result, fmt, headers)
+            return
+        headers["Content-Type"], serialize = _STREAMED[fmt]
+        self._count_status(200)
+        write_chunked(pending.wfile, 200, headers, _batched(
+            serialize(result.variables, result.rows), self.config.chunk_rows
+        ))
 
     def _answer_shed(
         self,
         pending: _Pending,
         engine: CachedQueryEngine,
         text: str,
-        parsed: SelectQuery,
+        plan: QueryPlan,
         tier: int,
-        accept: str,
+        fmt: str,
     ) -> bool:
         """Bounded-work answer in a shed tier: sketch locally, or merge
         per-source bundles when the store is a federation. ``False``
         leaves the query to the exact path (an ungrouped stream that fit
         the work budget)."""
-        fmt = _negotiate_select(accept)
-        if fmt is None:
-            self._respond_error(pending.wfile, 406,
-                                f"cannot serve Accept: {accept}")
-            return True
         started = time.perf_counter_ns()
         max_rows = self.config.approx_max_rows
         if tier >= AGGRESSIVE:
             max_rows = max(1, max_rows // 4)
         confidence = self.config.approx_confidence
         bundle = federated_sketch_bundle(
-            self.store, text, parsed, max_rows=max_rows,
+            self.store, text, plan, max_rows=max_rows,
             confidence=confidence,
         )
         if bundle is None:
             bundle = build_sketch_bundle(
-                engine.engine, parsed, max_rows=max_rows,
+                engine.engine, plan, max_rows=max_rows,
                 confidence=confidence,
             )
         self._note_sketch_bundle(bundle)
@@ -754,8 +763,8 @@ class ReproServer:
         if not answer.approximate:
             # Small grouped stream: the work budget covered it.
             self._mark_served(EXACT)
-            self._respond_select(pending, answer.result, fmt,
-                                 {"X-Repro-Tier": "exact"})
+            self._respond(pending, answer.result, fmt,
+                          {"X-Repro-Tier": "exact"})
             return True
         # The serving-level record: the engine's own stream record
         # (complete=false, abandoned prefix) stays; this one is what the
@@ -763,7 +772,7 @@ class ReproServer:
         log = OBS.querylog
         if log.enabled:
             log.emit(
-                digest=engine.engine.plan_digest(parsed),
+                digest=plan.digest,
                 form="SELECT",
                 strategy="sketched",
                 latency_ms=(time.perf_counter_ns() - started) / 1e6,
@@ -782,8 +791,7 @@ class ReproServer:
             "X-Repro-Rows-Consumed": str(answer.rows_consumed),
             "X-Repro-Estimated-Total": str(answer.estimated_total),
         }
-        self._respond_select(pending, answer.result, fmt, headers,
-                             extra=metadata)
+        self._respond(pending, answer.result, fmt, headers, extra=metadata)
         return True
 
     def _note_sketch_bundle(self, bundle) -> None:
@@ -805,12 +813,12 @@ class ReproServer:
         pending: _Pending,
         engine: CachedQueryEngine,
         request: HttpRequest,
-        parsed: SelectQuery,
+        plan: QueryPlan,
     ) -> None:
         """Answer with the serialized sketch bundle (federation wire)."""
         max_rows = _int_param(request, "max_rows", self.config.approx_max_rows)
         bundle = build_sketch_bundle(
-            engine.engine, parsed, max_rows=max(1, max_rows),
+            engine.engine, plan, max_rows=max(1, max_rows),
             confidence=self.config.approx_confidence,
         )
         self._note_sketch_bundle(bundle)
@@ -826,11 +834,11 @@ class ReproServer:
         self,
         pending: _Pending,
         engine: CachedQueryEngine,
-        parsed: SelectQuery,
+        plan: QueryPlan,
     ) -> None:
         """Stream tightening estimates as NDJSON, one line per pass."""
         passes = iter_sketch_passes(
-            engine.engine, parsed,
+            engine.engine, plan,
             max_rows=self.config.approx_max_rows,
             confidence=self.config.approx_confidence,
         )
@@ -864,79 +872,21 @@ class ReproServer:
         self._count_status(200)
         write_chunked(pending.wfile, 200, headers, lines())
 
-    def _answer_select_exact(
+    def _respond(
         self,
         pending: _Pending,
-        engine: CachedQueryEngine,
-        text: str,
-        parsed: SelectQuery,
-        accept: str,
-    ) -> None:
-        fmt = _negotiate_select(accept)
-        if fmt is None:
-            self._respond_error(pending.wfile, 406,
-                                f"cannot serve Accept: {accept}")
-            return
-        headers = {"X-Repro-Tier": "exact"}
-        started = time.perf_counter_ns()
-        cache = engine.cache
-        key = engine.engine.plan_digest(parsed)
-        cached = cache.get(key)
-        if isinstance(cached, SelectResult):
-            headers["X-Repro-Cache"] = "hit"
-            # This hit bypasses CachedQueryEngine.query, so it logs its own
-            # workload record (cache_hit=true, zeroed scan counters).
-            log = OBS.querylog
-            if log.enabled:
-                log.emit_cache_hit(
-                    digest=key, form="SELECT",
-                    latency_ms=(time.perf_counter_ns() - started) / 1e6,
-                    solutions=len(cached),
-                )
-            self._respond_select(pending, cached, fmt, headers)
-            return
-        if parsed.select_all or fmt == "table":
-            # SELECT * needs all rows before its header is known, and the
-            # ASCII table pads columns globally: materialize these.
-            result = engine.query(text)
-            self._respond_select(pending, result, fmt, headers)
-            return
-        # Streaming path: chunked delivery straight off the operator tree,
-        # teeing rows into the worker's result cache for the next hit.
-        stream = engine.engine.stream_select(parsed, digest=key)
-        collected: list[dict] = []
-
-        def tee():
-            for row in stream.rows:
-                collected.append(row)
-                yield row
-            cache.put(
-                key,
-                SelectResult(stream.variables, collected, plan_digest=key),
-            )
-
-        if fmt == "csv":
-            content_type, chunks = CSV_TYPE, iter_csv(stream.variables, tee())
-        elif fmt == "tsv":
-            content_type, chunks = TSV_TYPE, iter_tsv(stream.variables, tee())
-        else:
-            content_type, chunks = JSON_TYPE, iter_sparql_json(
-                stream.variables, tee()
-            )
-        headers["Content-Type"] = content_type
-        self._count_status(200)
-        write_chunked(pending.wfile, 200, headers,
-                      _batched(chunks, self.config.chunk_rows))
-
-    def _respond_select(
-        self,
-        pending: _Pending,
-        result: SelectResult,
-        fmt: str,
+        result: SelectResult | bool | Graph,
+        fmt: str | None,
         headers: dict[str, str],
         extra: dict[str, object] | None = None,
     ) -> None:
-        if fmt == "csv":
+        """One materialized answer; ``fmt`` picks the SELECT format."""
+        if isinstance(result, bool):
+            body, content_type = ask_to_sparql_json(result), JSON_TYPE
+        elif isinstance(result, Graph):
+            body = serialize_ntriples(result.triples(), sort=True)
+            content_type = NTRIPLES_TYPE
+        elif fmt == "csv":
             body, content_type = to_csv(result), CSV_TYPE
         elif fmt == "tsv":
             body, content_type = to_tsv(result), TSV_TYPE
@@ -994,12 +944,8 @@ class ReproServer:
         except ValueError as error:
             self._respond_error(pending.wfile, 400, str(error))
             return
-        graph = engine.query(DescribeQuery(resources=(iri,)))
-        self._count_status(200)
-        write_response(
-            pending.wfile, 200, {"Content-Type": NTRIPLES_TYPE},
-            serialize_ntriples(graph.triples(), sort=True).encode("utf-8"),
-        )
+        graph, hit = engine.answer(DescribeQuery(resources=(iri,)))
+        self._respond(pending, graph, None, _served(hit, {}))
 
     def _handle_statistics(self, pending: _Pending) -> None:
         if isinstance(self.store, StoreStatistics):
@@ -1151,6 +1097,13 @@ def _negotiate_select(accept: str) -> str | None:
     return None
 
 
+def _served(hit: bool, headers: dict[str, str]) -> dict[str, str]:
+    """``headers``, marked when the answer came from the result cache."""
+    if hit:
+        headers["X-Repro-Cache"] = "hit"
+    return headers
+
+
 def _batched(chunks, batch: int):
     """Coalesce small serializer chunks into network-sized writes."""
     buffer: list[str] = []
@@ -1175,9 +1128,9 @@ def _int_param(request: HttpRequest, name: str, default: int) -> int:
         return default
 
 
-def _close_quietly(connection: socket.socket) -> None:
+def _close_quietly(closable) -> None:
     try:
-        connection.close()
+        closable.close()
     except OSError:
         # repro: swallow(idempotent close; the peer may have reset)
         pass

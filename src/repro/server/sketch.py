@@ -72,7 +72,7 @@ from ..approx.sketch import (
 from ..rdf.terms import Literal, Variable
 from ..sparql.eval import QueryEngine
 from ..sparql.nodes import AggregateExpr, Query, SelectQuery, VariableExpr
-from ..sparql.parser import parse_query
+from ..sparql.plan import LogicalProject, LogicalPrune, QueryPlan
 from ..sparql.results import SelectResult, term_from_json, term_to_json
 
 __all__ = [
@@ -457,9 +457,24 @@ class SketchBundle:
 # --------------------------------------------------------------------------- #
 
 
+def _pattern_plan(plan: QueryPlan) -> QueryPlan:
+    """``SELECT *`` over an eligible aggregate's WHERE, cut from the
+    aggregate's own plan rather than planned again: below the Aggregate
+    sit the rewrites a ``SELECT *`` gets, bar the projection Prune."""
+    pattern = plan.root.input
+    if isinstance(pattern, LogicalPrune):
+        pattern = pattern.input
+    root = LogicalProject(pattern, (), True)
+    parsed = plan.query
+    select_all = SelectQuery(
+        projections=(), where=parsed.where, prefixes=parsed.prefixes
+    )
+    return QueryPlan(select_all, "SELECT", root, root)
+
+
 def iter_sketch_passes(
     engine: QueryEngine,
-    query: str | SelectQuery,
+    query: str | SelectQuery | QueryPlan,
     max_rows: int = 2_000,
     confidence: float = 0.95,
     passes: int = 4,
@@ -479,16 +494,15 @@ def iter_sketch_passes(
     Every pass also lands on the progress-event stream
     (``approx.progressive.sketch``).
     """
-    parsed = parse_query(query) if isinstance(query, str) else query
+    plan = engine.plan(query)
+    parsed = plan.query
     if not eligible_approximate(parsed):
         raise ValueError("query is not an eligible aggregate")
     if max_rows < 1 or passes < 1:
         raise ValueError("max_rows and passes must be positive")
     budget = None if _distinct(parsed) else max_rows
     chunk = max(1, max_rows // passes)
-    stream = engine.stream_select(SelectQuery(
-        projections=(), where=parsed.where, prefixes=parsed.prefixes
-    ))
+    stream = engine.stream_select(_pattern_plan(plan))
     aggregator = ProgressiveSketchAggregator(
         lambda: SketchBundle.empty(parsed, confidence)
     )
@@ -520,7 +534,7 @@ def iter_sketch_passes(
 
 def build_sketch_bundle(
     engine: QueryEngine,
-    query: str | SelectQuery,
+    query: str | SelectQuery | QueryPlan,
     max_rows: int = 2_000,
     confidence: float = 0.95,
 ) -> SketchBundle:
@@ -596,8 +610,13 @@ def bundle_to_answer(bundle: SketchBundle) -> ApproximateAnswer:
         keys = sorted(sizes, key=lambda key: (-sizes[key], key))
     bounds: dict[str, float] = {str(s.alias): 0.0 for s in bundle.specs}
     rows: list[dict] = []
+    group_specs = [spec for spec in bundle.specs if spec.role == "group"]
     for key in keys:
-        row: dict = dict(_decode_group_key(key, bundle.group_vars))
+        keyed = _decode_group_key(key, bundle.group_vars)
+        row: dict = {
+            spec.alias: keyed[spec.arg] for spec in group_specs
+            if spec.arg in keyed
+        }
         for spec in agg_specs:
             moments = None if spec.distinct else spec.sketch.group(key)
             value, halfwidth = _cell(spec, moments, bundle)
@@ -641,17 +660,17 @@ def bundle_to_answer(bundle: SketchBundle) -> ApproximateAnswer:
 
 def sketched_select(
     engine: QueryEngine,
-    query: str | SelectQuery,
+    query: str | SelectQuery | QueryPlan,
     max_rows: int = 2_000,
     confidence: float = 0.95,
 ) -> ApproximateAnswer:
     """Answer an eligible aggregate SELECT with at most ``max_rows`` of
     work on one engine; raises :class:`ValueError` for other queries."""
-    parsed = parse_query(query) if isinstance(query, str) else query
-    bundle = build_sketch_bundle(engine, parsed, max_rows, confidence)
+    plan = engine.plan(query)
+    bundle = build_sketch_bundle(engine, plan, max_rows, confidence)
     answer = bundle_to_answer(bundle)
     if bundle.recovers_exactly:
-        answer = replace(answer, result=engine.query(parsed))
+        answer = replace(answer, result=engine.query(plan))
     return answer
 
 
@@ -661,7 +680,7 @@ approximate_select = sketched_select
 def federated_sketch_bundle(
     store: object,
     query_text: str,
-    parsed: SelectQuery,
+    parsed: SelectQuery | QueryPlan,
     max_rows: int = 2_000,
     confidence: float = 0.95,
 ) -> SketchBundle | None:
@@ -693,7 +712,7 @@ def federated_sketch_bundle(
 def federated_sketch_select(
     store: object,
     query_text: str,
-    parsed: SelectQuery,
+    parsed: SelectQuery | QueryPlan,
     max_rows: int = 2_000,
     confidence: float = 0.95,
 ) -> ApproximateAnswer | None:

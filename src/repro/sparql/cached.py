@@ -7,7 +7,10 @@ with a bounded :class:`~repro.cache.result_cache.ResultCache` keyed on the
 digest of the *optimized logical plan*, with explicit invalidation for when
 the store changes. Plan-keying means syntactically different but
 plan-equivalent queries (whitespace, prefix renaming, reordered constant
-filters) share one cache entry.
+filters) share one cache entry, in all four query forms, whether the
+caller hands over text or an already parsed query. It is the one cache
+owner of the serving layer too: the lookup, the cache-hit query-log
+record and the streaming tee that fills the cache all live here.
 
 A hit returns the cached rows under a *tagged* EXPLAIN tree: the plan's
 ``cached`` flag is set so its actual cardinalities are recognizably from
@@ -22,21 +25,25 @@ from dataclasses import replace
 
 from ..cache.result_cache import ResultCache
 from ..obs import OBS
-from ..rdf.graph import Graph
 from ..store.base import TripleSource
 from .eval import QueryEngine
+from .nodes import Query
 from .optimizer import CorrectionTable
+from .plan import QueryPlan
 from .results import SelectResult
 
 __all__ = ["CachedQueryEngine"]
+
+_MISS = object()
 
 
 class CachedQueryEngine:
     """A QueryEngine with memoized results.
 
-    Only string-form queries are cached (parsed Query objects are assumed
-    to be programmatic one-offs). SELECT results are cached as-is — they
-    are immutable by convention; callers must not mutate ``rows``.
+    Query text, a parsed ``Query`` and a :class:`QueryPlan` all key on
+    the same plan digest, so every form of one query shares one entry.
+    SELECT results are cached as-is — they are immutable by convention;
+    callers must not mutate ``rows``.
     """
 
     def __init__(
@@ -52,17 +59,23 @@ class CachedQueryEngine:
         )
         self.cache = ResultCache(capacity, policy=policy, name="sparql.result")
 
-    def query(self, text: str):
-        if not isinstance(text, str):
-            return self.engine.query(text)
+    def query(self, query: str | Query | QueryPlan):
+        return self.answer(query)[0]
+
+    def answer(
+        self, query: str | Query | QueryPlan, stream: bool = False
+    ) -> tuple[object, bool]:
+        """``(result, served_from_cache)`` — the one cache lookup.
+
+        With ``stream=True`` a SELECT miss comes back as a
+        :class:`StreamingSelect` whose rows fill the cache once the
+        stream is exhausted (an abandoned stream caches nothing).
+        """
         started = time.perf_counter_ns()
-        key = self.engine.plan_digest(text)
-        hit = key in self.cache  # membership check leaves stats untouched
-        result = self.cache.get_or_compute(
-            key, lambda: self.engine.query(text, digest=key)
-        )
-        if hit:
-            result = _tag_cached(result)
+        plan = self.engine.plan(query)
+        key = plan.digest
+        cached = self.cache.get(key, _MISS)
+        if cached is not _MISS:
             # A cache-served query must stay visible to the workload
             # analyzer: log it with cache_hit=true and zeroed scan
             # counters — no store work happened on its behalf.
@@ -70,11 +83,29 @@ class CachedQueryEngine:
             if log.enabled:
                 log.emit_cache_hit(
                     digest=key,
-                    form=_cached_form(result),
+                    form=plan.form,
                     latency_ms=(time.perf_counter_ns() - started) / 1e6,
-                    solutions=_cached_solutions(result),
+                    solutions=_cached_solutions(cached),
                 )
-        return result
+            return _tag_cached(cached), True
+        if not stream or plan.form != "SELECT":
+            result = self.engine.query(plan)
+            if isinstance(result, SelectResult):
+                result.plan_digest = key
+            self.cache.put(key, result)
+            return result, False
+        streamed = self.engine.stream_select(plan)
+        collected: list[dict] = []
+
+        def tee():
+            for row in streamed.rows:
+                collected.append(row)
+                yield row
+            self.cache.put(key, SelectResult(
+                streamed.variables, collected, plan_digest=key
+            ))
+
+        return replace(streamed, rows=tee()), False
 
     def invalidate(self) -> None:
         """Drop all cached results (call after mutating the store)."""
@@ -112,19 +143,5 @@ def _tag_cached(result):
     )
 
 
-def _cached_form(result) -> str:
-    """Query-log form label of a cache-served result (the result type is
-    all a hit has; the query text was never re-parsed)."""
-    if isinstance(result, SelectResult):
-        return "SELECT"
-    if isinstance(result, bool):
-        return "ASK"
-    if isinstance(result, Graph):
-        return "GRAPH"  # CONSTRUCT and DESCRIBE are indistinguishable here
-    return "UNKNOWN"
-
-
 def _cached_solutions(result) -> int:
-    if isinstance(result, (SelectResult, Graph)):
-        return len(result)
-    return int(bool(result)) if isinstance(result, bool) else 0
+    return int(result) if isinstance(result, bool) else len(result)

@@ -8,8 +8,9 @@ a precondition for interactive exploration)::
     statistics-backed) → streaming physical operators
     (:mod:`repro.sparql.physical`)
 
-:class:`QueryEngine` only dispatches on the query form, builds the operator
-tree, and shapes results; all value semantics live in
+:class:`QueryEngine` plans each query once, through the one form dispatch
+:func:`~repro.sparql.plan.plan_query`, builds the operator tree from that
+plan, and shapes results; all value semantics live in
 :mod:`repro.sparql.expr` and all execution in the operators. Stores that
 publish a :class:`~repro.store.base.StatisticsSnapshot` are planned without
 a single index access; :meth:`QueryEngine.explain` exposes the chosen plan
@@ -26,13 +27,7 @@ from ..rdf.graph import Graph
 from ..rdf.terms import BNode, IRI, Term, Variable
 from ..store.base import TripleSource
 from .expr import instantiate
-from .nodes import (
-    AskQuery,
-    ConstructQuery,
-    DescribeQuery,
-    Query,
-    SelectQuery,
-)
+from .nodes import Query, SelectQuery
 from .optimizer import CardinalityEstimator, CorrectionTable
 from .parser import parse_query
 from .physical import (
@@ -44,14 +39,7 @@ from .physical import (
     operator_span,
     scan_observations,
 )
-from .plan import (
-    LogicalNode,
-    LogicalSlice,
-    build_pattern_plan,
-    build_select_plan,
-    optimize_plan,
-    query_digest,
-)
+from .plan import QueryPlan, plan_query
 from .results import SelectResult
 
 __all__ = [
@@ -115,8 +103,20 @@ class QueryEngine:
     # Public API
     # ------------------------------------------------------------------ #
 
-    def query(self, text: str | Query, digest: str | None = None):
-        """Parse (if needed) and evaluate; the result type follows the form:
+    def plan(self, query: str | Query | QueryPlan) -> QueryPlan:
+        """Parse (if needed) and build the optimized logical plan, once.
+
+        Every entry point below accepts the returned plan, so a caller
+        that needs the digest first (the result cache, the shed tier)
+        never plans the query twice.
+        """
+        if isinstance(query, QueryPlan):
+            return query
+        parsed = parse_query(query) if isinstance(query, str) else query
+        return plan_query(parsed, optimize=self.optimize)
+
+    def query(self, query: str | Query | QueryPlan):
+        """Plan (if needed) and evaluate; the result type follows the form:
 
         SELECT → :class:`SelectResult`, ASK → bool,
         CONSTRUCT/DESCRIBE → :class:`~repro.rdf.graph.Graph`.
@@ -125,13 +125,10 @@ class QueryEngine:
         wrapped in a ``sparql.query`` span with one child span per
         physical operator, timed inclusively and suspension-aware. When
         the query log (``OBS.querylog``) is enabled, the run additionally
-        emits one structured workload record.
-
-        ``digest`` is the plan digest when the caller already computed it
-        (:class:`~repro.sparql.cached.CachedQueryEngine` keys its cache on
-        it); otherwise it is derived here only when the query log needs it.
+        emits one structured workload record, and a SELECT result carries
+        the plan digest.
         """
-        parsed = parse_query(text) if isinstance(text, str) else text
+        plan = self.plan(query)
         per_query = EvalStats()
         # _build_root refreshes this per dispatch; cleared up front so a
         # plan-less form (DESCRIBE without WHERE) cannot report the
@@ -140,17 +137,15 @@ class QueryEngine:
         log = OBS.querylog
         logging = log.enabled
         started = time.perf_counter_ns() if logging else 0
-        if logging and digest is None:
-            digest = query_digest(parsed, optimize=self.optimize)
         trace_id = None
         if not OBS.enabled:
-            result = self._dispatch(parsed, per_query)
+            result = self._dispatch(plan, per_query)
         else:
             per_query.tracer = OBS.tracer
             with OBS.tracer.span(
-                "sparql.query", form=type(parsed).__name__
+                "sparql.query", form=type(plan.query).__name__
             ) as span:
-                result = self._dispatch(parsed, per_query)
+                result = self._dispatch(plan, per_query)
                 span.set_attribute("store_lookups", per_query.store_lookups)
                 span.set_attribute("solutions", per_query.solutions)
                 if per_query.scan_batches:
@@ -166,30 +161,24 @@ class QueryEngine:
         if logging:
             root = self._last_root
             log.emit(
-                digest=digest,
-                form=_form_name(parsed),
+                digest=plan.digest,
+                form=plan.form,
                 strategy=execution_strategy(root),
                 latency_ms=(time.perf_counter_ns() - started) / 1e6,
                 counters=per_query,
                 scans=scan_observations(root),
                 trace_id=trace_id,
             )
-        if digest is not None and isinstance(result, SelectResult):
-            result.plan_digest = digest
+            if isinstance(result, SelectResult):
+                result.plan_digest = plan.digest
         return result
 
-    def _dispatch(self, parsed: Query, per_query: EvalStats):
-        if isinstance(parsed, SelectQuery):
-            return self._eval_select(parsed, per_query)
-        if isinstance(parsed, AskQuery):
-            return self._eval_ask(parsed, per_query)
-        if isinstance(parsed, ConstructQuery):
-            return self._eval_construct(parsed, per_query)
-        if isinstance(parsed, DescribeQuery):
-            return self._eval_describe(parsed, per_query)
-        raise TypeError(f"unsupported query type: {type(parsed).__name__}")
+    def _dispatch(self, plan: QueryPlan, per_query: EvalStats):
+        return getattr(self, f"_eval_{plan.form.lower()}")(plan, per_query)
 
-    def explain(self, text: str | Query, analyze: bool = True) -> ExplainNode:
+    def explain(
+        self, query: str | Query | QueryPlan, analyze: bool = True
+    ) -> ExplainNode:
         """The physical plan as an :class:`ExplainNode` tree.
 
         With ``analyze=True`` (the default) the plan is executed first, so
@@ -198,20 +187,20 @@ class QueryEngine:
         the planner's estimate; with ``analyze=False`` only estimates are
         filled in and the store is not touched.
         """
-        parsed = parse_query(text) if isinstance(text, str) else text
+        plan = self.plan(query)
         per_query = EvalStats()
         if analyze:
             # EXPLAIN ANALYZE always times operators — measuring is the
             # point — independent of the global tracing switch.
             per_query.tracer = OBS.tracer
-        root = self._build_root(parsed, per_query)
+        root = self._build_root(plan, per_query)
         if root is None:  # DESCRIBE without a WHERE clause has no plan
-            detail = ", ".join(r.n3() for r in parsed.resources)
+            detail = ", ".join(r.n3() for r in plan.query.resources)
             return ExplainNode("Describe", detail, None, None, ())
         if analyze:
             if OBS.enabled:
                 with OBS.tracer.span(
-                    "sparql.explain", form=type(parsed).__name__
+                    "sparql.explain", form=type(plan.query).__name__
                 ) as span:
                     for _ in root.execute({}):
                         pass
@@ -222,9 +211,7 @@ class QueryEngine:
             self.stats.merge(per_query)
         return root.explain()
 
-    def stream_select(
-        self, text: str | Query, digest: str | None = None
-    ) -> StreamingSelect:
+    def stream_select(self, query: str | Query | QueryPlan) -> StreamingSelect:
         """Evaluate a SELECT without materializing its rows.
 
         The returned iterator drives the streaming physical operators
@@ -237,7 +224,8 @@ class QueryEngine:
         tier) carry ``complete=false`` and whatever partial counters the
         consumed prefix accumulated.
         """
-        parsed = parse_query(text) if isinstance(text, str) else text
+        plan = self.plan(query)
+        parsed = plan.query
         if not isinstance(parsed, SelectQuery):
             raise TypeError("stream_select requires a SELECT query")
         per_query = EvalStats()
@@ -245,9 +233,7 @@ class QueryEngine:
             per_query.tracer = OBS.tracer
         log = OBS.querylog
         logging = log.enabled
-        if logging and digest is None:
-            digest = query_digest(parsed, optimize=self.optimize)
-        root = self._build_root(parsed, per_query)
+        root = self._build_root(plan, per_query)
         variables = (
             [] if parsed.select_all
             else [p.variable for p in parsed.projections]
@@ -270,7 +256,7 @@ class QueryEngine:
             finally:
                 if logging:
                     log.emit(
-                        digest=digest,
+                        digest=plan.digest,
                         form="SELECT",
                         strategy=execution_strategy(root),
                         latency_ms=(
@@ -284,10 +270,9 @@ class QueryEngine:
 
         return StreamingSelect(variables, generate(), root)
 
-    def plan_digest(self, text: str | Query) -> str:
+    def plan_digest(self, query: str | Query | QueryPlan) -> str:
         """Stable digest of the optimized logical plan (result-cache key)."""
-        parsed = parse_query(text) if isinstance(text, str) else text
-        return query_digest(parsed, optimize=self.optimize)
+        return self.plan(query).digest
 
     # ------------------------------------------------------------------ #
     # Pipeline assembly
@@ -302,33 +287,13 @@ class QueryEngine:
             self.store, corrections=self.corrections
         )
 
-    def _logical(self, parsed: Query) -> LogicalNode | None:
-        if isinstance(parsed, SelectQuery):
-            node: LogicalNode = build_select_plan(parsed)
-        elif isinstance(parsed, AskQuery):
-            node = build_pattern_plan(parsed.where)
-        elif isinstance(parsed, ConstructQuery):
-            node = build_pattern_plan(parsed.where)
-            if parsed.limit is not None or parsed.offset:
-                node = LogicalSlice(node, parsed.limit, parsed.offset)
-        elif isinstance(parsed, DescribeQuery):
-            if parsed.where is None:
-                return None
-            node = build_pattern_plan(parsed.where)
-        else:
-            raise TypeError(f"unsupported query type: {type(parsed).__name__}")
-        if self.optimize:
-            node = optimize_plan(node)
-        return node
-
     def _build_root(
-        self, parsed: Query, per_query: EvalStats
+        self, plan: QueryPlan, per_query: EvalStats
     ) -> PhysicalOperator | None:
-        logical = self._logical(parsed)
-        if logical is None:
+        if plan.root is None:
             return None
         root = build_plan(
-            logical,
+            plan.root,
             self.store,
             per_query,
             self._estimator(),
@@ -344,8 +309,9 @@ class QueryEngine:
     # Query forms
     # ------------------------------------------------------------------ #
 
-    def _eval_select(self, q: SelectQuery, per_query: EvalStats) -> SelectResult:
-        root = self._build_root(q, per_query)
+    def _eval_select(self, plan: QueryPlan, per_query: EvalStats) -> SelectResult:
+        q = plan.query
+        root = self._build_root(plan, per_query)
         rows = list(root.execute({}))
         if q.select_all:
             variables = sorted({v for row in rows for v in row}, key=str)
@@ -354,23 +320,24 @@ class QueryEngine:
         per_query.solutions += len(rows)
         return SelectResult(variables, rows, stats=per_query, plan=root.explain())
 
-    def _eval_ask(self, q: AskQuery, per_query: EvalStats) -> bool:
-        root = self._build_root(q, per_query)
+    def _eval_ask(self, plan: QueryPlan, per_query: EvalStats) -> bool:
+        root = self._build_root(plan, per_query)
         for _ in root.execute({}):
             return True
         return False
 
-    def _eval_construct(self, q: ConstructQuery, per_query: EvalStats) -> Graph:
-        root = self._build_root(q, per_query)
+    def _eval_construct(self, plan: QueryPlan, per_query: EvalStats) -> Graph:
+        root = self._build_root(plan, per_query)
         graph = Graph()
         for binding in root.execute({}):
-            for template in q.template:
+            for template in plan.query.template:
                 triple = instantiate(template, binding)
                 if triple is not None:
                     graph.add(triple)
         return graph
 
-    def _eval_describe(self, q: DescribeQuery, per_query: EvalStats) -> Graph:
+    def _eval_describe(self, plan: QueryPlan, per_query: EvalStats) -> Graph:
+        q = plan.query
         graph = Graph()
         resources: set[Term] = set()
         bindings: list | None = None
@@ -379,7 +346,7 @@ class QueryEngine:
                 if q.where is None:
                     raise ValueError("DESCRIBE with variables needs a WHERE clause")
                 if bindings is None:
-                    root = self._build_root(q, per_query)
+                    root = self._build_root(plan, per_query)
                     bindings = list(root.execute({}))
                 for binding in bindings:
                     if resource in binding:
@@ -393,17 +360,6 @@ class QueryEngine:
             for triple in self.store.triples((None, None, resource)):
                 graph.add(triple)
         return graph
-
-
-def _form_name(parsed: Query) -> str:
-    """The query-log ``form`` label of a parsed query."""
-    if isinstance(parsed, SelectQuery):
-        return "SELECT"
-    if isinstance(parsed, AskQuery):
-        return "ASK"
-    if isinstance(parsed, ConstructQuery):
-        return "CONSTRUCT"
-    return "DESCRIBE"
 
 
 def query(store: TripleSource, text: str, optimize: bool = True):

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..rdf.terms import Literal, Variable
 from .algebra import (
@@ -94,7 +95,9 @@ __all__ = [
     "possible_variables",
     "fold_expression",
     "plan_digest",
+    "plan_query",
     "query_digest",
+    "QueryPlan",
 ]
 
 
@@ -644,33 +647,65 @@ def plan_digest(node: LogicalNode, form: str = "SELECT", extra: str = "") -> str
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def query_digest(parsed: Query, optimize: bool = True) -> str:
-    """Digest for any query form, keyed on its optimized logical plan."""
+@dataclass(frozen=True)
+class QueryPlan:
+    """A parsed query with its logical plan, built and optimized once.
+
+    ``root`` is the plan that executes (``None`` for a DESCRIBE without
+    WHERE). The digest hashes ``keyed`` plus ``extra``: the root, except
+    that a CONSTRUCT window is keyed through ``extra`` instead of the
+    ``Slice`` it executes as. It is computed on first use, so a query
+    nobody keys or logs never pays for it.
+    """
+
+    query: Query
+    form: str  # SELECT | ASK | CONSTRUCT | DESCRIBE
+    root: LogicalNode | None
+    keyed: LogicalNode
+    extra: str = ""
+
+    @cached_property
+    def digest(self) -> str:
+        return plan_digest(self.keyed, self.form, self.extra)
+
+
+def plan_query(parsed: Query, optimize: bool = True) -> QueryPlan:
+    """The one form dispatch: lower any query form to its logical plan
+    and apply the rewrites once."""
+    extra = ""
     if isinstance(parsed, SelectQuery):
-        node = build_select_plan(parsed)
-        form, extra = "SELECT", ""
+        form, node = "SELECT", build_select_plan(parsed)
     elif isinstance(parsed, AskQuery):
-        node = build_pattern_plan(parsed.where)
-        form, extra = "ASK", ""
+        form, node = "ASK", build_pattern_plan(parsed.where)
     elif isinstance(parsed, ConstructQuery):
-        node = build_pattern_plan(parsed.where)
-        form = "CONSTRUCT"
+        form, node = "CONSTRUCT", build_pattern_plan(parsed.where)
         extra = (
             "; ".join(_canonical_pattern(t) for t in parsed.template)
             + f"|{parsed.limit}|{parsed.offset}"
         )
     elif isinstance(parsed, DescribeQuery):
+        form = "DESCRIBE"
         node = (
             build_pattern_plan(parsed.where)
-            if parsed.where is not None
-            else LogicalBGP(())
+            if parsed.where is not None else None
         )
-        form = "DESCRIBE"
         extra = ",".join(
             r.n3() if hasattr(r, "n3") else repr(r) for r in parsed.resources
         )
     else:
         raise TypeError(f"unsupported query type: {type(parsed).__name__}")
-    if optimize:
+    if optimize and node is not None:
         node = optimize_plan(node)
-    return plan_digest(node, form, extra)
+    keyed = node if node is not None else LogicalBGP(())
+    if isinstance(parsed, ConstructQuery) and (
+        parsed.limit is not None or parsed.offset
+    ):
+        # The rewrites never cross a Slice over a pattern tree, so slicing
+        # the optimized pattern is the plan optimizing the Slice gives.
+        node = LogicalSlice(node, parsed.limit, parsed.offset)
+    return QueryPlan(parsed, form, node, keyed, extra)
+
+
+def query_digest(parsed: Query, optimize: bool = True) -> str:
+    """Digest for any query form, keyed on its optimized logical plan."""
+    return plan_query(parsed, optimize).digest

@@ -149,10 +149,12 @@ class TestCachedQueryEngine:
             engine.query(self.QUERY + f" LIMIT {i + 1}")
         assert len(engine.cache) == 2
 
-    def test_parsed_queries_bypass_cache(self, store):
+    def test_parsed_and_text_forms_share_one_entry(self, store):
         from repro.sparql import parse_query
 
         engine = CachedQueryEngine(store)
-        parsed = parse_query(self.QUERY)
-        engine.query(parsed)
-        assert engine.stats.requests == 0
+        first = engine.query(parse_query(self.QUERY))
+        second = engine.query(self.QUERY)
+        assert len(engine.cache) == 1
+        assert engine.stats.misses == 1 and engine.stats.hits == 1
+        assert second.rows is first.rows

@@ -176,6 +176,55 @@ class TestGroupedAnswers:
             assert row[Variable("t")].value == pytest.approx(totals[group])
 
 
+    def test_aliased_group_key_binds_the_alias(self):
+        """A covering budget makes the sketch answer exact, so it must
+        match the exact engine row for row, alias included."""
+        store, _truth = grouped_store(300)
+        text = (
+            "SELECT (?c AS ?h) (COUNT(*) AS ?n) WHERE { ?s ?p ?c } "
+            "GROUP BY ?c"
+        )
+        engine = QueryEngine(store)
+        answer = sketched_select(engine, text, max_rows=10_000)
+        assert not answer.approximate
+        exact = engine.query(text)
+
+        def rows(result):
+            return sorted(
+                sorted((str(var), str(term)) for var, term in row.items())
+                for row in result.rows
+            )
+
+        assert answer.result.variables == exact.variables
+        assert rows(answer.result) == rows(exact)
+
+
+class TestPatternPlan:
+    """The sketch stream is cut from the aggregate's own plan; it must be
+    the plan a ``SELECT *`` over the same WHERE gets, digest included."""
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    @pytest.mark.parametrize("text", [
+        GROUPED_QUERY,
+        DISTINCT_QUERY,
+        "SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }",
+        "SELECT ?c (SUM(?v) AS ?t) WHERE { ?s ?p ?c . ?s ?q ?v "
+        "FILTER(?v > 1 + 1) OPTIONAL { ?s ?r ?w } } GROUP BY ?c",
+    ])
+    def test_matches_select_all_plan(self, text, optimize):
+        from repro.server.sketch import _pattern_plan
+        from repro.sparql.nodes import SelectQuery
+        from repro.sparql.plan import plan_query
+
+        parsed = parse_query(text)
+        cut = _pattern_plan(plan_query(parsed, optimize))
+        planned = plan_query(
+            SelectQuery(projections=(), where=parsed.where), optimize
+        )
+        assert cut.root == planned.root
+        assert cut.digest == planned.digest
+
+
 class TestDistinctAnswers:
     def test_distinct_drains_whole_stream(self):
         store, truth = grouped_store(3_000, groups=10)

@@ -147,7 +147,7 @@ class TestCachedEngineEmission:
         engine.query(query)
         engine.query(query)
         hit = OBS.querylog.records()[-1]
-        assert hit.cache_hit and hit.form == "GRAPH"
+        assert hit.cache_hit and hit.form == "DESCRIBE"
 
 
 class TestEvalStatsConcurrency:
