@@ -59,8 +59,10 @@ REGISTRY: tuple[EnvVar, ...] = (
     ),
     EnvVar(
         "REPRO_EXEC", "choice", "auto",
-        "Execution engine for BGPs: streaming `iterator`, batched "
-        "`vectorized` over dictionary ids, or statistics-driven `auto` "
+        "Execution engine for BGPs: streaming `iterator`, or batched "
+        "`vectorized` over dictionary ids; `auto` lowers exactly as "
+        "`vectorized` does. Both fall back to `iterator` on stores without "
+        "id scans and on unoptimized plans "
         "(`repro.sparql.vectorized.resolve_exec_mode`).",
         choices=("iterator", "vectorized", "auto"),
     ),

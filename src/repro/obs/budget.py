@@ -19,11 +19,13 @@ Three built-in classes (budgets in milliseconds):
   measured but never counts as a violation.
 
 :class:`BudgetTracker` is the always-on accountant: every observation lands
-in a per-class count/total/max, a per-class latency histogram
-(:data:`~repro.obs.metrics.TIME_MS_BUCKETS` resolution), and — when over
-budget — a violation counter plus an ``on_violation`` callback (the flight
-recorder hooks in there). :meth:`BudgetTracker.report` summarizes it all as
-a :class:`BudgetReport` with per-class compliance rates.
+in one per-class latency histogram the tracker owns
+(:data:`~repro.obs.metrics.TIME_MS_BUCKETS` resolution; count, total, max
+and percentiles all read from it), is mirrored to the metrics registry,
+and — when over budget — bumps a violation counter and fires an
+``on_violation`` callback (the flight recorder hooks in there).
+:meth:`BudgetTracker.report` summarizes it all as a :class:`BudgetReport`
+with per-class compliance rates.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
-from .metrics import TIME_MS_BUCKETS, MetricsRegistry
+from .metrics import TIME_MS_BUCKETS, Histogram, MetricsRegistry
 
 __all__ = [
     "INTERACTIVE",
@@ -167,13 +169,19 @@ class BudgetReport:
 
 
 class _ClassStats:
-    __slots__ = ("count", "violations", "total_ms", "max_ms")
+    """One class's latencies and violations. Count, total, max and the
+    percentiles all come from the one histogram, so :meth:`BudgetTracker
+    .reset` clears every figure of a report together."""
 
-    def __init__(self) -> None:
-        self.count = 0
+    __slots__ = ("latencies", "violations")
+
+    def __init__(self, interaction_class: str) -> None:
+        self.latencies = Histogram(
+            "obs.interaction_ms",
+            (("interaction_class", interaction_class),),
+            TIME_MS_BUCKETS,
+        )
         self.violations = 0
-        self.total_ms = 0.0
-        self.max_ms = 0.0
 
 
 class BudgetTracker:
@@ -237,11 +245,10 @@ class BudgetTracker:
         with self._lock:
             stats = self._stats.get(interaction_class)
             if stats is None:
-                stats = self._stats[interaction_class] = _ClassStats()
-            stats.count += 1
-            stats.total_ms += duration_ms
-            if duration_ms > stats.max_ms:
-                stats.max_ms = duration_ms
+                stats = self._stats[interaction_class] = _ClassStats(
+                    interaction_class
+                )
+            stats.latencies.record(duration_ms)
             if violated:
                 stats.violations += 1
         if self.metrics is not None:
@@ -268,34 +275,22 @@ class BudgetTracker:
         with self._lock:
             names = sorted(set(self._budgets) | set(self._stats))
             snapshot = {
-                name: (
-                    stats.count, stats.violations, stats.total_ms, stats.max_ms
-                )
+                name: (stats.latencies.summary(), stats.violations)
                 for name, stats in self._stats.items()
             }
+        unobserved = (_ClassStats("").latencies.summary(), 0)
         for name in names:
-            count, violations, total_ms, max_ms = snapshot.get(
-                name, (0, 0, 0.0, 0.0)
-            )
-            p50 = p95 = 0.0
-            if self.metrics is not None and count:
-                histogram = self.metrics.histogram(
-                    "obs.interaction_ms",
-                    buckets=TIME_MS_BUCKETS,
-                    interaction_class=name,
-                )
-                p50 = histogram.percentile(0.50)
-                p95 = histogram.percentile(0.95)
+            summary, violations = snapshot.get(name, unobserved)
             entries.append(
                 ClassReport(
                     interaction_class=name,
                     limit_ms=self.budget(name).limit_ms,
-                    count=count,
+                    count=int(summary["count"]),
                     violations=violations,
-                    total_ms=total_ms,
-                    max_ms=max_ms,
-                    p50_ms=p50,
-                    p95_ms=p95,
+                    total_ms=summary["sum"],
+                    max_ms=summary["max"],
+                    p50_ms=summary["p50"],
+                    p95_ms=summary["p95"],
                 )
             )
         return BudgetReport(tuple(entries))

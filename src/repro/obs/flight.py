@@ -3,7 +3,7 @@
 Tracing (:mod:`repro.obs.trace`) answers "where did the time go?" — but only
 when it was switched on *before* the slow interaction happened. The flight
 recorder closes that gap: a bounded ring buffer records every interaction,
-progress event, and error as it happens (one lock-guarded slot write each),
+progress event, and error as it happens (one lock-guarded append each),
 and when something goes wrong — a latency budget is violated, or the
 ``obs.errors`` counter fires — the recent history is *dumped* automatically:
 a JSONL transcript plus the offending span tree, diagnosable after the fact
@@ -22,6 +22,7 @@ import json
 import os
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -121,10 +122,10 @@ class FlightDump:
 class FlightRecorder:
     """Bounded ring buffer of telemetry entries with automatic dumping.
 
-    Recording is O(1): a sequence bump and one slot write under a lock.
-    Under concurrent writers the ring wraps atomically — the retained
-    entries are always the most recent ``capacity`` records by sequence
-    number, with no tearing and no unbounded growth.
+    Recording is O(1): a sequence bump and one bounded-deque append under a
+    lock, so under concurrent writers the retained entries are always the
+    most recent ``capacity`` records, already in sequence order, with no
+    tearing and no unbounded growth.
     """
 
     def __init__(
@@ -149,8 +150,8 @@ class FlightRecorder:
         self.error_counter: Callable[[str, BaseException], None] | None \
             = None
         self._lock = threading.Lock()
-        self._ring: list[FlightEntry | None] \
-            = [None] * capacity  # guarded-by: _lock
+        self._ring: deque[FlightEntry] \
+            = deque(maxlen=capacity)  # guarded-by: _lock
         self._sequence = 0  # guarded-by: _lock
         self._dump_lock = threading.Lock()
         self._dumps: list[FlightDump] = []  # guarded-by: _dump_lock
@@ -181,7 +182,7 @@ class FlightRecorder:
                 violated=violated,
                 span=span,
             )
-            self._ring[sequence % self.capacity] = entry
+            self._ring.append(entry)
         return entry
 
     @property
@@ -193,15 +194,14 @@ class FlightRecorder:
     def entries(self) -> list[FlightEntry]:
         """The retained window, oldest first."""
         with self._lock:
-            kept = [entry for entry in self._ring if entry is not None]
-        return sorted(kept, key=lambda entry: entry.sequence)
+            return list(self._ring)
 
     def __iter__(self) -> Iterator[FlightEntry]:
         return iter(self.entries())
 
     def __len__(self) -> int:
         with self._lock:
-            return sum(1 for entry in self._ring if entry is not None)
+            return len(self._ring)
 
     # -- dumping -----------------------------------------------------------
 
@@ -281,7 +281,7 @@ class FlightRecorder:
 
     def reset(self) -> None:
         with self._lock:
-            self._ring = [None] * self.capacity
+            self._ring.clear()
             self._sequence = 0
         with self._dump_lock:
             self._dumps.clear()

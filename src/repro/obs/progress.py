@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -71,8 +72,8 @@ class ProgressEmitter:
         self._lock = threading.Lock()
         self._subscribers: list[Subscriber] = []  # guarded-by: _lock
         self._taps: list[Subscriber] = []  # guarded-by: _lock
-        self._history_size = history
-        self._history: list[ProgressEvent] = []  # guarded-by: _lock
+        self._history: deque[ProgressEvent] \
+            = deque(maxlen=history)  # guarded-by: _lock
         self._latest: dict[str, ProgressEvent] \
             = {}  # guarded-by: _lock
         self._error_counter = error_counter
@@ -149,10 +150,7 @@ class ProgressEmitter:
     def publish(self, event: ProgressEvent) -> None:
         with self._lock:
             subscribers = list(self._subscribers) + list(self._taps)
-            if self._history_size:
-                self._history.append(event)
-                if len(self._history) > self._history_size:
-                    del self._history[: len(self._history) - self._history_size]
+            self._history.append(event)
             self._latest[event.operation] = event
         for subscriber in subscribers:
             try:

@@ -15,7 +15,7 @@ in-memory ring that is additionally *mirrored* to JSONL when the
 The ring answers live questions (``GET /debug/queries`` on the server, the
 workload analyzer over a running process); the JSONL mirror is the durable
 feed :mod:`repro.obs.workload` analyzes offline and CI uploads as an
-artifact. Recording is O(1) per query: a sequence bump, one slot write,
+artifact. Recording is O(1) per query: a sequence bump, one ring append,
 and (mirror only) one buffered line append.
 
 Enablement follows the tracer's precedent — off by default so library hot
@@ -36,6 +36,7 @@ import json
 import os
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
@@ -231,8 +232,8 @@ class QueryLog:
         # records emitted without an explicit id.
         self.trace_provider: Callable[[], object] | None = None
         self._lock = threading.Lock()
-        self._ring: list[QueryRecord | None] \
-            = [None] * capacity  # guarded-by: _lock
+        self._ring: deque[QueryRecord] \
+            = deque(maxlen=capacity)  # guarded-by: _lock
         self._sequence = 0  # guarded-by: _lock
         self._mirror_errors = 0  # guarded-by: _lock
         self._mirror_path: str | None = None  # guarded-by: _lock
@@ -341,7 +342,7 @@ class QueryLog:
                 scans=observations,
                 **values,
             )
-            self._ring[sequence % self.capacity] = record
+            self._ring.append(record)
             self._mirror_locked(record)
         return record
 
@@ -380,8 +381,7 @@ class QueryLog:
     ) -> list[QueryRecord]:
         """The retained window, oldest first, optionally filtered."""
         with self._lock:
-            kept = [record for record in self._ring if record is not None]
-        kept.sort(key=lambda record: record.sequence)
+            kept = list(self._ring)
         out = []
         for record in kept:
             if tenant is not None and record.tenant != tenant:
@@ -399,7 +399,7 @@ class QueryLog:
 
     def __len__(self) -> int:
         with self._lock:
-            return sum(1 for record in self._ring if record is not None)
+            return len(self._ring)
 
     def __iter__(self) -> Iterator[QueryRecord]:
         return iter(self.records())
@@ -468,7 +468,7 @@ class QueryLog:
     def reset(self) -> None:
         """Clear the ring and re-read env enablement (tests)."""
         with self._lock:
-            self._ring = [None] * self.capacity
+            self._ring.clear()
             self._sequence = 0
             self._mirror_errors = 0
             self._close_mirror_locked()

@@ -38,6 +38,7 @@ import random
 import re
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -290,27 +291,42 @@ NOOP_SPAN = NoopSpan()
 
 
 class SpanRecorder:
-    """Thread-safe sink of finished root spans, bounded by ``max_spans``."""
+    """Thread-safe ring of finished root spans: it keeps the newest
+    ``max_spans``, and ``dropped`` counts the older spans evicted to make
+    room, so a long-running server always exports its latest requests."""
 
     def __init__(self, max_spans: int = 10_000) -> None:
         if max_spans < 1:
             raise ValueError("max_spans must be positive")
-        self.max_spans = max_spans
         self._lock = threading.Lock()
-        self._spans: list[Span] = []  # guarded-by: _lock
+        self._spans: deque[Span] = deque(maxlen=max_spans)  # guarded-by: _lock
         self.dropped = 0  # guarded-by: _lock
+
+    @property
+    def max_spans(self) -> int:
+        with self._lock:
+            return self._spans.maxlen or 0
+
+    @max_spans.setter
+    def max_spans(self, max_spans: int) -> None:
+        if max_spans < 1:
+            raise ValueError("max_spans must be positive")
+        with self._lock:
+            kept = deque(self._spans, maxlen=max_spans)  # the newest survive
+            self.dropped += len(self._spans) - len(kept)
+            self._spans = kept
 
     def record(self, span: Span) -> None:
         with self._lock:
-            if len(self._spans) >= self.max_spans:
+            if len(self._spans) == self._spans.maxlen:
                 self.dropped += 1
-                return
             self._spans.append(span)
 
     def drain(self) -> list[Span]:
         """Return and remove everything recorded so far."""
         with self._lock:
-            spans, self._spans = self._spans, []
+            spans = list(self._spans)
+            self._spans.clear()
             return spans
 
     def spans(self) -> list[Span]:

@@ -81,11 +81,13 @@ class QueryEngine:
     called on it; each :class:`SelectResult` additionally carries the
     per-query counters of the run that produced it.
 
-    ``exec_mode`` picks the BGP operator family: ``"iterator"``,
-    ``"vectorized"``, or ``"auto"`` (vectorized when the store implements
-    :class:`~repro.store.base.IdScanSource`, iterator otherwise). ``None``
-    defers to the ``REPRO_EXEC`` environment variable, read per query so
-    tests can flip engines without rebuilding the engine.
+    ``exec_mode`` picks the BGP operator family: ``"iterator"`` or
+    ``"vectorized"``; ``"auto"`` is the same as ``"vectorized"`` (no
+    statistics consulted). The vectorized family needs a store that
+    implements :class:`~repro.store.base.IdScanSource` and an optimized
+    plan, and falls back to iterators otherwise. ``None`` defers to the
+    ``REPRO_EXEC`` environment variable, read per query so tests can flip
+    engines without rebuilding the engine.
 
     ``corrections`` optionally rescales the planner's uniformity-based
     cardinality guesses with a :class:`CorrectionTable` learned from the

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ..obs import Span
 from ..rdf.terms import Term, Variable, term_sort_key
@@ -912,118 +912,33 @@ class _Builder:
     def _build_bgp(
         self, node: LogicalBGP, needed: frozenset[Variable] | None = None
     ) -> PhysicalOperator:
+        """Lower a BGP to one operator per variable-disjoint component.
+
+        Components compose with :class:`HashJoin`. A filter confined to one
+        component goes to that component's operator; a filter spanning
+        components attaches above the join that first covers its
+        variables; anything left (variables no pattern binds) applies on
+        top. Only the per-component operator depends on the engine: an
+        index-scan chain (:meth:`_iterator_component`) or one
+        :class:`~repro.sparql.vectorized.VectorizedBGP`
+        (:meth:`_vectorized_component`). ``needed`` is the
+        late-materialization contract from an enclosing projection prune
+        (vectorized only): only those variables, plus what filters read,
+        get decoded.
+        """
         if not node.patterns:
-            op: PhysicalOperator = Singleton(self.stats, 1.0 if self.estimator else None)
-            for expression in node.filters:
-                op = FilterOp(
-                    op, expression, self.stats, self._filter_estimate(op.estimated_rows)
-                )
-            return op
+            singleton = Singleton(self.stats, 1.0 if self.estimator else None)
+            return self._filtered(singleton, node.filters)
 
         if self.optimize and self.estimator is not None:
             ordered = self.estimator.order(node.patterns)
         else:
             ordered = list(node.patterns)
-
-        if self._vectorize:
-            return self._build_vectorized_bgp(node, ordered, needed)
-
-        remaining = list(node.filters)
-
-        def absorb(op: PhysicalOperator, covered: set[Variable]) -> PhysicalOperator:
-            still = []
-            for expression in remaining:
-                if expression_variables(expression) <= covered:
-                    op = FilterOp(
-                        op,
-                        expression,
-                        self.stats,
-                        self._filter_estimate(op.estimated_rows),
-                    )
-                else:
-                    still.append(expression)
-            remaining[:] = still
-            return op
-
-        if self.optimize:
-            components = self._segment(ordered)
-        else:
-            components = [ordered]
-
-        combined: PhysicalOperator | None = None
-        covered: set[Variable] = set()
-        for component in components:
-            component_vars: set[Variable] = set()
-            chain: PhysicalOperator | None = None
-            for pattern in component:
-                estimate = (
-                    self.estimator.pattern_cardinality(pattern)
-                    if self.estimator is not None
-                    else None
-                )
-                scan = IndexScan(self.store, pattern, self.stats, estimate)
-                if chain is None:
-                    chain = scan
-                else:
-                    chain = NestedLoopJoin(
-                        chain,
-                        scan,
-                        self.stats,
-                        self._join_estimate(chain.estimated_rows, estimate, True),
-                    )
-                component_vars |= pattern.variables()
-                # Filters confined to this component apply mid-chain, as
-                # early as their variables are covered.
-                chain = absorb(chain, component_vars)
-            if combined is None:
-                combined = chain
-            else:
-                combined = HashJoin(
-                    combined,
-                    chain,
-                    frozenset(component_vars),
-                    self.stats,
-                    self._join_estimate(
-                        combined.estimated_rows, chain.estimated_rows, False
-                    ),
-                )
-            covered |= component_vars
-            if combined is not None and len(components) > 1:
-                # Cross-component filters attach above the join that first
-                # covers their variables.
-                combined = absorb(combined, covered)
-
-        assert combined is not None
-        for expression in remaining:  # safety net: apply anything left on top
-            combined = FilterOp(
-                combined,
-                expression,
-                self.stats,
-                self._filter_estimate(combined.estimated_rows),
-            )
-        return combined
-
-    def _build_vectorized_bgp(
-        self,
-        node: LogicalBGP,
-        ordered: list[TriplePatternNode],
-        needed: frozenset[Variable] | None,
-    ) -> PhysicalOperator:
-        """Lower BGP components onto the batched id-scan operator family.
-
-        Each variable-disjoint component becomes one
-        :class:`~repro.sparql.vectorized.VectorizedBGP` (strategy chosen
-        per component from the statistics snapshot); components still
-        compose with :class:`HashJoin`, and filters spanning components
-        attach above the join that first covers their variables — the same
-        placement discipline as the iterator lowering. ``needed`` is the
-        late-materialization contract from an enclosing projection prune:
-        only those variables (plus what filters read) get decoded.
-        """
-        from .vectorized import VectorizedBGP
-
-        components = self._segment(ordered)
-        snapshot = self.estimator.snapshot if self.estimator is not None else None
+        components = self._segment(ordered) if self.optimize else [ordered]
+        lower = (
+            self._vectorized_component if self._vectorize
+            else self._iterator_component
+        )
         filter_vars: set[Variable] = set()
         for expression in node.filters:
             filter_vars |= expression_variables(expression)
@@ -1031,53 +946,17 @@ class _Builder:
         remaining = list(node.filters)
         combined: PhysicalOperator | None = None
         covered: set[Variable] = set()
-        decoded_total: set[Variable] = set()
+        decoded: set[Variable] = set()
         for component in components:
             component_vars: set[Variable] = set()
             for pattern in component:
                 component_vars |= pattern.variables()
-            local = [
-                expression
-                for expression in remaining
-                if expression_variables(expression) <= component_vars
-            ]
-            remaining = [e for e in remaining if not any(e is l for l in local)]
-
-            pattern_estimates = [
-                self.estimator.pattern_cardinality(pattern)
-                if self.estimator is not None
-                else None
-                for pattern in component
-            ]
-            estimate: float | None = None
-            for index, pattern_estimate in enumerate(pattern_estimates):
-                if index == 0:
-                    estimate = pattern_estimate
-                else:
-                    estimate = self._join_estimate(estimate, pattern_estimate, True)
-            for _ in local:
-                estimate = self._filter_estimate(estimate)
-
-            if needed is None:
-                keep: frozenset[Variable] | None = None
-                decoded_total |= component_vars
-            else:
+            local, remaining = self._split(remaining, component_vars)
+            keep: frozenset[Variable] | None = None
+            if needed is not None:
                 keep = frozenset((needed | filter_vars) & component_vars)
-                decoded_total |= keep
-            strategy, center, reason = choose_bgp_strategy(component, snapshot)
-            op: PhysicalOperator = VectorizedBGP(
-                self._id_source,
-                tuple(component),
-                tuple(local),
-                keep,
-                self.stats,
-                estimate,
-                pattern_estimates,
-                strategy,
-                center,
-                reason,
-            )
-
+                decoded |= keep
+            op = lower(component, local, keep)
             if combined is None:
                 combined = op
             else:
@@ -1092,34 +971,106 @@ class _Builder:
                 )
             covered |= component_vars
             if len(components) > 1:
-                still = []
-                for expression in remaining:
-                    if expression_variables(expression) <= covered:
-                        combined = FilterOp(
-                            combined,
-                            expression,
-                            self.stats,
-                            self._filter_estimate(combined.estimated_rows),
-                        )
-                    else:
-                        still.append(expression)
-                remaining = still
+                spanning, remaining = self._split(remaining, covered)
+                combined = self._filtered(combined, spanning)
 
         assert combined is not None
-        for expression in remaining:  # safety net, as in the iterator path
-            combined = FilterOp(
-                combined,
-                expression,
-                self.stats,
-                self._filter_estimate(combined.estimated_rows),
-            )
-        if needed is not None and decoded_total - needed:
+        combined = self._filtered(combined, remaining)  # safety net
+        if needed is not None and decoded - needed:
             # Filters forced extra variables to be decoded; restore exact
             # Prune(BGP) output on top.
-            combined = PruneOp(
-                combined, needed, self.stats, combined.estimated_rows
-            )
+            combined = PruneOp(combined, needed, self.stats, combined.estimated_rows)
         return combined
+
+    def _iterator_component(
+        self,
+        component: list[TriplePatternNode],
+        local: list[Expression],
+        keep: frozenset[Variable] | None,
+    ) -> PhysicalOperator:
+        """A left-deep chain of index scans joined by nested loops; each
+        local filter applies mid-chain, as early as its variables are
+        covered. ``keep`` is always ``None`` here: iterator rows carry
+        every variable."""
+        chain: PhysicalOperator | None = None
+        chain_vars: set[Variable] = set()
+        for pattern in component:
+            estimate = self._pattern_estimate(pattern)
+            scan = IndexScan(self.store, pattern, self.stats, estimate)
+            if chain is None:
+                chain = scan
+            else:
+                chain = NestedLoopJoin(
+                    chain,
+                    scan,
+                    self.stats,
+                    self._join_estimate(chain.estimated_rows, estimate, True),
+                )
+            chain_vars |= pattern.variables()
+            ready, local = self._split(local, chain_vars)
+            chain = self._filtered(chain, ready)
+        assert chain is not None
+        return chain
+
+    def _vectorized_component(
+        self,
+        component: list[TriplePatternNode],
+        local: list[Expression],
+        keep: frozenset[Variable] | None,
+    ) -> PhysicalOperator:
+        """One :class:`~repro.sparql.vectorized.VectorizedBGP` holding the
+        component's local filters, its strategy chosen per component from
+        the statistics snapshot; it decodes only ``keep`` (all variables
+        when ``None``)."""
+        from .vectorized import VectorizedBGP
+
+        pattern_estimates = [self._pattern_estimate(p) for p in component]
+        estimate = pattern_estimates[0]
+        for pattern_estimate in pattern_estimates[1:]:
+            estimate = self._join_estimate(estimate, pattern_estimate, True)
+        for _ in local:
+            estimate = self._filter_estimate(estimate)
+        snapshot = self.estimator.snapshot if self.estimator is not None else None
+        strategy, center, reason = choose_bgp_strategy(component, snapshot)
+        return VectorizedBGP(
+            self._id_source,
+            tuple(component),
+            tuple(local),
+            keep,
+            self.stats,
+            estimate,
+            pattern_estimates,
+            strategy,
+            center,
+            reason,
+        )
+
+    def _pattern_estimate(self, pattern: TriplePatternNode) -> float | None:
+        if self.estimator is None:
+            return None
+        return self.estimator.pattern_cardinality(pattern)
+
+    def _filtered(
+        self, op: PhysicalOperator, expressions: Iterable[Expression]
+    ) -> PhysicalOperator:
+        for expression in expressions:
+            op = FilterOp(
+                op, expression, self.stats, self._filter_estimate(op.estimated_rows)
+            )
+        return op
+
+    @staticmethod
+    def _split(
+        filters: list[Expression], variables: set[Variable]
+    ) -> tuple[list[Expression], list[Expression]]:
+        """``filters`` split into those ``variables`` cover and the rest,
+        each in their original order."""
+        inside: list[Expression] = []
+        outside: list[Expression] = []
+        for expression in filters:
+            target = inside if expression_variables(expression) <= variables else outside
+            target.append(expression)
+        return inside, outside
 
     @staticmethod
     def _segment(ordered: list[TriplePatternNode]) -> list[list[TriplePatternNode]]:

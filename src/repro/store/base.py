@@ -29,7 +29,11 @@ __all__ = [
     "StatisticsSnapshot",
     "as_id_scan_source",
     "compute_statistics",
+    "decoded_matches",
+    "encode_pattern",
+    "permutation_prefix",
     "DEFAULT_BATCH_SIZE",
+    "PERMUTATIONS",
 ]
 
 #: Default number of id triples per scan batch. Sized so one batch of three
@@ -114,6 +118,70 @@ def as_id_scan_source(store: object) -> "IdScanSource | None":
     ):
         return store  # type: ignore[return-value]
     return None
+
+
+#: The sorted permutations id stores keep, as the (s, p, o) column each
+#: key position reads: POS keys are ``(p, o, s)``, OSP keys ``(o, s, p)``.
+PERMUTATIONS: Mapping[str, tuple[int, int, int]] = MappingProxyType({
+    "spo": (0, 1, 2),
+    "pos": (1, 2, 0),
+    "osp": (2, 0, 1),
+})
+
+
+def encode_pattern(
+    dictionary: "TermDictionary", pattern: TriplePattern
+) -> tuple[int | None, int | None, int | None] | None:
+    """Translate a term pattern into an id pattern.
+
+    Returns ``None`` when a bound term is not in the dictionary — the
+    answer is then provably empty without touching any index.
+    """
+    ids: list[int | None] = []
+    for term in pattern:
+        if term is None:
+            ids.append(None)
+        else:
+            term_id = dictionary.lookup(term)
+            if term_id is None:
+                return None
+            ids.append(term_id)
+    return ids[0], ids[1], ids[2]
+
+
+def permutation_prefix(
+    s: int | None, p: int | None, o: int | None
+) -> tuple[str, tuple[int, ...]]:
+    """The permutation in which the bound ids form a key prefix, and that
+    prefix: every one of the eight bound/free masks has one, so a pattern
+    scan is always one contiguous key range."""
+    if s is not None:
+        if p is not None:
+            return "spo", (s, p) if o is None else (s, p, o)
+        if o is not None:
+            return "osp", (o, s)
+        return "spo", (s,)
+    if p is not None:
+        return "pos", (p,) if o is None else (p, o)
+    if o is not None:
+        return "osp", (o,)
+    return "spo", ()
+
+
+def decoded_matches(
+    source: IdScanSource,
+    pattern: TriplePattern,
+    batch_size: int = DEFAULT_BATCH_SIZE,
+) -> Iterator[Triple]:
+    """``triples()`` on top of ``match_id_batches``: encode the pattern,
+    scan id batches, decode one row at a time as the consumer pulls."""
+    encoded = encode_pattern(source.dictionary, pattern)
+    if encoded is None:
+        return
+    decode = source.dictionary.decode_triple
+    for batch in source.match_id_batches(*encoded, batch_size):
+        for ids in batch.tolist():
+            yield decode(ids)
 
 
 @dataclass(frozen=True)

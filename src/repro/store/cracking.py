@@ -24,7 +24,14 @@ import numpy as np
 from ..obs import OBS
 from ..rdf.graph import TriplePattern
 from ..rdf.terms import Triple
-from .base import DEFAULT_BATCH_SIZE, StatisticsSnapshot
+from .base import (
+    DEFAULT_BATCH_SIZE,
+    PERMUTATIONS,
+    StatisticsSnapshot,
+    decoded_matches,
+    encode_pattern,
+    permutation_prefix,
+)
 from .dictionary import TermDictionary
 
 __all__ = ["CrackedColumn", "CrackingTripleStore", "FullSortColumn", "ScanColumn"]
@@ -132,14 +139,6 @@ class CrackedColumn:
             raise AssertionError("crack positions not monotone")
 
 
-# Column orders per access path, mirroring the paged store's permutations.
-_STORE_PERMS = {
-    "spo": (0, 1, 2),
-    "pos": (1, 2, 0),
-    "osp": (2, 0, 1),
-}
-
-
 class CrackingTripleStore:
     """Adaptive columnar triple store over dictionary-encoded id arrays.
 
@@ -201,7 +200,7 @@ class CrackingTripleStore:
         self._flush()
         rows = self._sorted.get(perm_name)
         if rows is None:
-            c0, c1, c2 = _STORE_PERMS[perm_name]
+            c0, c1, c2 = PERMUTATIONS[perm_name]
             # np.lexsort sorts by the *last* key first.
             order = np.lexsort((self._ids[:, c2], self._ids[:, c1], self._ids[:, c0]))
             rows = np.ascontiguousarray(self._ids[order])
@@ -213,25 +212,14 @@ class CrackingTripleStore:
                 ).inc()
         return rows
 
-    def _plan(self, s: int | None, p: int | None, o: int | None) -> tuple[str, tuple[int, ...]]:
-        if s is not None:
-            if p is not None:
-                return "spo", (s, p) + ((o,) if o is not None else ())
-            if o is not None:
-                return "osp", (o, s)
-            return "spo", (s,)
-        if p is not None:
-            return "pos", (p,) + ((o,) if o is not None else ())
-        if o is not None:
-            return "osp", (o,)
-        return "spo", ()
-
     def _prefix_slice(
-        self, perm_name: str, prefix: tuple[int, ...]
+        self, s: int | None, p: int | None, o: int | None
     ) -> tuple[np.ndarray, int, int]:
-        """Rows sorted by ``perm_name`` plus the [lo, hi) range matching ``prefix``."""
+        """Rows sorted by the permutation in which the bound ids form a key
+        prefix, plus the [lo, hi) range matching that prefix."""
+        perm_name, prefix = permutation_prefix(s, p, o)
         rows = self._sorted_rows(perm_name)
-        columns = _STORE_PERMS[perm_name]
+        columns = PERMUTATIONS[perm_name]
         lo, hi = 0, len(rows)
         for depth, bound in enumerate(prefix):
             column = rows[lo:hi, columns[depth]]
@@ -255,8 +243,7 @@ class CrackingTripleStore:
         self._flush()
         if not len(self._ids):
             return
-        perm_name, prefix = self._plan(s, p, o)
-        rows, lo, hi = self._prefix_slice(perm_name, prefix)
+        rows, lo, hi = self._prefix_slice(s, p, o)
         for start in range(lo, hi, batch_size):
             yield rows[start : min(start + batch_size, hi)]
 
@@ -266,8 +253,7 @@ class CrackingTripleStore:
         self._flush()
         if not len(self._ids):
             return np.empty(0, dtype=np.int64)
-        perm_name, prefix = self._plan(s, p, o)
-        rows, lo, hi = self._prefix_slice(perm_name, prefix)
+        rows, lo, hi = self._prefix_slice(s, p, o)
         if lo >= hi:
             return np.empty(0, dtype=np.int64)
         column = rows[lo:hi, position]
@@ -278,37 +264,18 @@ class CrackingTripleStore:
     # -- TripleSource protocol ---------------------------------------------
 
     def triples(self, pattern: TriplePattern = (None, None, None)) -> Iterator[Triple]:
-        ids: list[int | None] = []
-        for term in pattern:
-            if term is None:
-                ids.append(None)
-            else:
-                term_id = self.dictionary.lookup(term)
-                if term_id is None:
-                    return
-                ids.append(term_id)
-        decode = self.dictionary.decode_triple
-        for batch in self.match_id_batches(ids[0], ids[1], ids[2]):
-            for s_id, p_id, o_id in batch.tolist():
-                yield decode((s_id, p_id, o_id))
+        return decoded_matches(self, pattern)
 
     def count(self, pattern: TriplePattern = (None, None, None)) -> int:
         self._flush()
         if pattern == (None, None, None):
             return len(self._ids)
-        ids = []
-        for term in pattern:
-            if term is None:
-                ids.append(None)
-            else:
-                term_id = self.dictionary.lookup(term)
-                if term_id is None:
-                    return 0
-                ids.append(term_id)
+        encoded = encode_pattern(self.dictionary, pattern)
+        if encoded is None:
+            return 0
         # Every bound combination maps to a permutation where the bound ids
         # form a contiguous prefix, so counting is two binary searches.
-        perm_name, prefix = self._plan(ids[0], ids[1], ids[2])
-        _, lo, hi = self._prefix_slice(perm_name, prefix)
+        _, lo, hi = self._prefix_slice(*encoded)
         return hi - lo
 
     def __len__(self) -> int:

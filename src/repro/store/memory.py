@@ -19,7 +19,7 @@ import numpy as np
 
 from ..rdf.graph import TriplePattern
 from ..rdf.terms import Triple
-from .base import DEFAULT_BATCH_SIZE, StatisticsSnapshot
+from .base import DEFAULT_BATCH_SIZE, StatisticsSnapshot, encode_pattern
 from .dictionary import TermDictionary
 
 __all__ = ["MemoryStore"]
@@ -72,7 +72,10 @@ class MemoryStore:
 
     def remove(self, pattern: TriplePattern) -> int:
         """Remove all triples matching ``pattern``; returns removal count."""
-        victims = list(self._match_ids(*self._encode_pattern(pattern)))
+        encoded = encode_pattern(self.dictionary, pattern)
+        if encoded is None:
+            return 0
+        victims = list(self._match_ids(*encoded))
         for s, p, o in victims:
             self._spo[s][p].discard(o)
             self._pos[p][o].discard(s)
@@ -83,25 +86,6 @@ class MemoryStore:
         return len(victims)
 
     # -- pattern matching ---------------------------------------------------
-
-    def _encode_pattern(
-        self, pattern: TriplePattern
-    ) -> tuple[int | None, int | None, int | None] | None:
-        """Translate a term pattern into an id pattern.
-
-        Returns ``None`` when a bound term is not in the dictionary — the
-        answer is then provably empty without touching any index.
-        """
-        ids: list[int | None] = []
-        for term in pattern:
-            if term is None:
-                ids.append(None)
-            else:
-                term_id = self.dictionary.lookup(term)
-                if term_id is None:
-                    return None
-                ids.append(term_id)
-        return ids[0], ids[1], ids[2]
 
     def _match_ids(
         self, s: int | None, p: int | None, o: int | None
@@ -268,7 +252,7 @@ class MemoryStore:
 
     def triples(self, pattern: TriplePattern = (None, None, None)) -> Iterator[Triple]:
         """Yield matching triples, decoding ids lazily."""
-        encoded = self._encode_pattern(pattern)
+        encoded = encode_pattern(self.dictionary, pattern)
         if encoded is None:
             return
         decode = self.dictionary.decode_triple
@@ -276,7 +260,7 @@ class MemoryStore:
             yield decode(ids)
 
     def count(self, pattern: TriplePattern = (None, None, None)) -> int:
-        encoded = self._encode_pattern(pattern)
+        encoded = encode_pattern(self.dictionary, pattern)
         if encoded is None:
             return 0
         s, p, o = encoded
@@ -291,7 +275,7 @@ class MemoryStore:
         return sum(1 for _ in self._match_ids(s, p, o))
 
     def __contains__(self, triple: Triple) -> bool:
-        encoded = self._encode_pattern((triple[0], triple[1], triple[2]))
+        encoded = encode_pattern(self.dictionary, triple)
         if encoded is None:
             return False
         s, p, o = encoded

@@ -32,30 +32,28 @@ import numpy as np
 from ..obs import OBS
 from ..rdf.graph import TriplePattern
 from ..rdf.terms import Triple
-from .base import DEFAULT_BATCH_SIZE, StatisticsSnapshot, compute_statistics
+from .base import (
+    DEFAULT_BATCH_SIZE,
+    PERMUTATIONS,
+    StatisticsSnapshot,
+    compute_statistics,
+    decoded_matches,
+    encode_pattern,
+    permutation_prefix,
+)
 from .dictionary import TermDictionary
 
 __all__ = ["PagedTripleStore", "LRUBufferPool", "BufferPoolStats"]
 
 _TRIPLE = struct.Struct("<III")
-_PERMUTATIONS = ("spo", "pos", "osp")
 _MAX_ID = 2**32 - 1
 
 # meta.bin v2 starts with this magic; files without it are the legacy
 # (pre-statistics) layout and get their statistics recomputed on demand.
 _META_MAGIC = b"RPG2"
 
-# (s, p, o) -> key order per permutation, and its inverse.
-_PERMUTE = {
-    "spo": lambda s, p, o: (s, p, o),
-    "pos": lambda s, p, o: (p, o, s),
-    "osp": lambda s, p, o: (o, s, p),
-}
-_UNPERMUTE = {
-    "spo": lambda a, b, c: (a, b, c),
-    "pos": lambda a, b, c: (c, a, b),
-    "osp": lambda a, b, c: (b, c, a),
-}
+# Per permutation, the key column holding each of s, p, o.
+_UNPERMUTE = {name: np.argsort(columns) for name, columns in PERMUTATIONS.items()}
 
 
 @dataclass
@@ -190,9 +188,9 @@ class PagedTripleStore:
         per_page = page_size // _TRIPLE.size
         pages_written = 0
         permutations: dict[str, _Permutation] = {}
-        for name in _PERMUTATIONS:
-            permute = _PERMUTE[name]
-            keys = sorted(permute(s, p, o) for s, p, o in id_triples)
+        for name in PERMUTATIONS:
+            c0, c1, c2 = PERMUTATIONS[name]
+            keys = sorted((ids[c0], ids[c1], ids[c2]) for ids in id_triples)
             path = os.path.join(directory, f"{name}.dat")
             perm = _Permutation(name=name, path=path)
             with open(path, "wb") as fh:
@@ -227,7 +225,7 @@ class PagedTripleStore:
             fh.write(struct.pack("<I", len(predicate_counts)))
             for pid in sorted(predicate_counts):
                 fh.write(struct.pack("<II", pid, predicate_counts[pid]))
-            for name in _PERMUTATIONS:
+            for name in PERMUTATIONS:
                 perm = permutations[name]
                 fh.write(struct.pack("<I", perm.page_count))
                 for fence in perm.fences:
@@ -266,7 +264,7 @@ class PagedTripleStore:
                 fh.seek(0)
                 page_size, size = struct.unpack("<II", fh.read(8))
             permutations: dict[str, _Permutation] = {}
-            for name in _PERMUTATIONS:
+            for name in PERMUTATIONS:
                 (page_count,) = struct.unpack("<I", fh.read(4))
                 fences = [
                     _TRIPLE.unpack(fh.read(_TRIPLE.size)) for _ in range(page_count)
@@ -320,44 +318,14 @@ class PagedTripleStore:
             ).inc()
         return page
 
-    def _page_keys(self, perm_name: str, page_no: int) -> Iterator[tuple[int, int, int]]:
-        page = self._read_page(perm_name, page_no)
-        for offset in range(0, len(page), _TRIPLE.size):
-            record = page[offset : offset + _TRIPLE.size]
-            if len(record) < _TRIPLE.size:
-                break
-            key = _TRIPLE.unpack(record)
-            if key[0] == _MAX_ID:  # page padding
-                break
-            yield key
-
-    def _scan_prefix(
-        self, perm_name: str, prefix: tuple[int, ...]
-    ) -> Iterator[tuple[int, int, int]]:
-        """Yield all permuted keys whose leading components equal ``prefix``."""
-        perm = self._perms[perm_name]
-        if perm.page_count == 0:
-            return
-        low = prefix + (-1,) * (3 - len(prefix))
-        high = prefix + (_MAX_ID + 1,) * (3 - len(prefix))
-        start_page = max(0, bisect_right(perm.fences, low) - 1)
-        for page_no in range(start_page, perm.page_count):
-            if perm.fences[page_no] > high:
-                break
-            for key in self._page_keys(perm_name, page_no):
-                if key < low:
-                    continue
-                if key > high:
-                    return
-                yield key
-
     def _page_key_array(self, perm_name: str, page_no: int) -> np.ndarray:
         """One page decoded wholesale into an ``(n, 3)`` uint32 key array.
 
         The binary page layout (packed ``<III`` records, ``0xff`` padding)
         is exactly a little-endian uint32 matrix, so the decode is a single
         ``frombuffer`` + reshape instead of a per-record ``struct.unpack``
-        loop — the vectorized engine's page-scan fast path.
+        loop. Every page scan, decoded triples and id batches alike, reads
+        pages through here.
         """
         page = self._read_page(perm_name, page_no)
         words = np.frombuffer(page, dtype="<u4")
@@ -378,11 +346,12 @@ class PagedTripleStore:
     ) -> Iterator[np.ndarray]:
         """Matching id triples as streamed ``(n, 3)`` int64 batches.
 
-        Routes through the same fence index as :meth:`triples` but decodes
-        whole pages vectorized; pages coalesce up to ``batch_size`` rows
-        (an upper bound — consumers size LIMIT work off it).
+        The fence index routes the scan to its page run, and each page is
+        decoded whole; pages coalesce up to ``batch_size`` rows (an upper
+        bound — consumers size LIMIT work off it). Pages are read only as
+        batches are pulled.
         """
-        perm_name, prefix = self._plan(s, p, o)
+        perm_name, prefix = permutation_prefix(s, p, o)
         perm = self._perms[perm_name]
         if perm.page_count == 0:
             return
@@ -403,8 +372,7 @@ class PagedTripleStore:
                 keys = keys[mask]
             if not len(keys):
                 continue
-            a, b, c = keys[:, 0], keys[:, 1], keys[:, 2]
-            triples = np.stack(unpermute(a, b, c), axis=1).astype(np.int64)
+            triples = keys[:, unpermute].astype(np.int64)
             pending.append(triples)
             pending_rows += len(triples)
             while pending_rows >= batch_size:
@@ -436,44 +404,18 @@ class PagedTripleStore:
     # TripleSource protocol
     # ------------------------------------------------------------------ #
 
-    def _plan(self, s: int | None, p: int | None, o: int | None) -> tuple[str, tuple[int, ...]]:
-        """Choose the permutation whose sort order matches the bound prefix."""
-        if s is not None:
-            if p is not None:
-                if o is not None:
-                    return "spo", (s, p, o)
-                return "spo", (s, p)
-            if o is not None:
-                return "osp", (o, s)
-            return "spo", (s,)
-        if p is not None:
-            if o is not None:
-                return "pos", (p, o)
-            return "pos", (p,)
-        if o is not None:
-            return "osp", (o,)
-        return "spo", ()
-
     def triples(self, pattern: TriplePattern = (None, None, None)) -> Iterator[Triple]:
-        ids: list[int | None] = []
-        for term in pattern:
-            if term is None:
-                ids.append(None)
-            else:
-                term_id = self.dictionary.lookup(term)
-                if term_id is None:
-                    return
-                ids.append(term_id)
-        perm_name, prefix = self._plan(*ids)
-        unpermute = _UNPERMUTE[perm_name]
-        decode = self.dictionary.decode_triple
-        for key in self._scan_prefix(perm_name, prefix):
-            yield decode(unpermute(*key))
+        # Page-sized batches keep the scan lazy: the first row costs one
+        # page read, not a default batch's worth of pages.
+        return decoded_matches(self, pattern, self.triples_per_page)
 
     def count(self, pattern: TriplePattern = (None, None, None)) -> int:
         if pattern == (None, None, None):
             return self._size
-        return sum(1 for _ in self.triples(pattern))
+        encoded = encode_pattern(self.dictionary, pattern)
+        if encoded is None:
+            return 0
+        return sum(len(batch) for batch in self.match_id_batches(*encoded))
 
     def __len__(self) -> int:
         return self._size

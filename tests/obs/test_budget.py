@@ -105,6 +105,26 @@ class TestBudgetTracker:
         assert "100ms" in text
         assert "overall:" in text
 
+    def test_report_after_reset_reads_only_new_observations(self):
+        metrics = MetricsRegistry()
+        tracker = BudgetTracker(metrics=metrics)
+        for _ in range(50):
+            tracker.observe(INTERACTIVE, 90.0)
+        tracker.reset()
+        for _ in range(50):
+            tracker.observe(INTERACTIVE, 1.0)
+        entry = tracker.report().for_class(INTERACTIVE)
+        assert entry.count == 50
+        assert entry.max_ms == 1.0
+        assert entry.total_ms == 50.0
+        assert entry.p50_ms <= 1.0
+        assert entry.p95_ms <= 1.0
+        # the registry export is cumulative, as before
+        exported = metrics.histogram(
+            "obs.interaction_ms", interaction_class=INTERACTIVE
+        )
+        assert exported.count == 100
+
     def test_reset_clears_stats_not_budgets(self):
         tracker = BudgetTracker()
         tracker.set_budget(INTERACTIVE, 5.0)

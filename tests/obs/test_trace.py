@@ -146,6 +146,30 @@ class TestRecorder:
         assert len(recorder) == 2
         assert recorder.dropped == 3
 
+    def test_keeps_the_newest_spans(self):
+        recorder = SpanRecorder(max_spans=3)
+        for i in range(5):
+            span = Span(f"s{i}")
+            span.end()
+            recorder.record(span)
+        assert [span.name for span in recorder.spans()] == ["s2", "s3", "s4"]
+        assert recorder.dropped == 2
+
+    def test_configure_resizes_keeping_the_newest(self):
+        previous = OBS.tracer.recorder.max_spans
+        try:
+            OBS.configure(enabled=True, max_spans=4)
+            for i in range(6):
+                with OBS.tracer.span(f"s{i}"):
+                    pass
+            OBS.configure(max_spans=2)
+            assert OBS.tracer.recorder.max_spans == 2
+            names = [span.name for span in OBS.tracer.recorder.spans()]
+            assert names == ["s4", "s5"]
+            assert OBS.tracer.recorder.dropped == 4
+        finally:
+            OBS.configure(max_spans=previous)
+
     def test_drain_empties(self):
         recorder = SpanRecorder()
         span = Span("a")

@@ -1,5 +1,8 @@
 """IdScanSource capability: batch scans, sorted runs, snapshot safety."""
 
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -101,6 +104,42 @@ class TestMatchIdBatches:
         }
         assert set(run.tolist()) == brute
         assert list(run) == sorted(run.tolist())
+
+
+MISSING = IRI(EX + "not-in-the-store")
+MASKS = list(itertools.product((False, True), repeat=3))
+
+
+def _mask_id(mask):
+    return "".join("b" if bound else "v" for bound in mask)
+
+
+class TestPatternParity:
+    """``triples()``/``count()`` over every bound/free mask, against
+    :class:`Graph`, which shares no code with the id stores."""
+
+    @pytest.mark.parametrize("mask", MASKS, ids=_mask_id)
+    def test_matches_graph(self, store, mask):
+        triples = _triples()
+        reference = Graph(triples)
+        known = [
+            next(t for t in triples if t[1] == RDF_TYPE),
+            next(t for t in triples if t[1] == IRI(EX + "category0")),
+        ]
+        patterns = []
+        for triple in known:
+            pattern = tuple(
+                term if bound else None for term, bound in zip(triple, mask)
+            )
+            patterns.append(pattern)
+            if any(mask):  # the same mask with one bound term unknown
+                missing = list(pattern)
+                missing[mask.index(True)] = MISSING
+                patterns.append(tuple(missing))
+        for pattern in patterns:
+            expected = Counter(reference.triples(pattern))
+            assert Counter(store.triples(pattern)) == expected, pattern
+            assert store.count(pattern) == sum(expected.values()), pattern
 
 
 class TestCapabilityProbe:

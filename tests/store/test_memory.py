@@ -84,6 +84,12 @@ class TestPatterns:
         assert len(store) == 3
         assert store.count((None, ex("age"), None)) == 0
 
+    def test_remove_unknown_term_removes_nothing(self, store):
+        assert store.remove((ex("nope"), None, None)) == 0
+        assert store.remove((None, ex("age"), ex("nope"))) == 0
+        assert len(store) == 5
+        assert Graph(store.triples()).remove((ex("nope"), None, None)) == 0
+
 
 class TestEquivalenceWithGraph:
     def test_same_answers_as_graph(self):

@@ -102,6 +102,15 @@ class TestPatternQueries:
         disk.close()
 
 
+class TestLazyScan:
+    def test_first_row_reads_one_page(self, paged):
+        store, _ = paged
+        assert len(store) > store.triples_per_page  # a multi-page scan
+        assert store.pool.stats.misses == 0
+        next(iter(store.triples()))
+        assert store.pool.stats.misses == 1
+
+
 class TestBufferPool:
     def test_lru_eviction(self):
         pool = LRUBufferPool(2)
